@@ -678,7 +678,7 @@ int main(int argc, char** argv) {
     }
     // One parseable line the chaos-smoke CI job asserts on.
     std::cout << "\nchaos: recovery_events=" << rec.recovery_events().size()
-              << " orphaned_bulk_flows=" << network.num_bulk_flows()
+              << " orphaned_bulk_flows=" << system.orphaned_bulk_flows()
               << " aborted_transitions=" << aborted
               << " abandoned=" << abandoned
               << " faults_injected=" << injector->applied()

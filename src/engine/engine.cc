@@ -206,8 +206,9 @@ void Engine::rebuild_channel_indexes() {
   d_linkeps_.assign(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     c_to_stage_[i] = chan_[i].to_stage;
-    c_flow_[i] = chan_[i].flow.valid() ? &network_.flow(chan_[i].flow)
+    c_flow_[i] = chan_[i].flow.valid() ? network_.flow_slot(chan_[i].flow)
                                        : nullptr;
+    chan_[i].link = c_flow_[i] != nullptr ? c_flow_[i]->link : -1;
   }
 
   // Counting-sort CSR build: bucket lists come out in ascending channel-id
@@ -516,8 +517,7 @@ void Engine::stage_site_chunk(std::size_t k) {
         // plus the link's unused headroom (demand-driven allocations
         // under-report a lightly-loaded link's potential, which would
         // otherwise self-limit backlog draining).
-        const double headroom =
-            link_memo_at(chan_[ci].from_site, chan_[ci].to_site).headroom;
+        const double headroom = links_[chan_[ci].link].headroom;
         // A freshly (re)built flow has allocated_mbps = 0 and, on a busy
         // link, near-zero headroom -- but the channel demonstrably drained
         // at delivered_prev last tick, so never estimate below that.
@@ -563,47 +563,6 @@ void Engine::stage_site_chunk(std::size_t k) {
   }
 }
 
-const Engine::LinkMemo& Engine::link_memo(std::int32_t from_site,
-                                          std::int32_t to_site) {
-  const std::int64_t key = static_cast<std::int64_t>(from_site) *
-                               static_cast<std::int64_t>(num_sites_) +
-                           to_site;
-  const auto [hit, inserted] = link_memo_.try_emplace(key);
-  if (inserted) {
-    const SiteId from(from_site);
-    const SiteId to(to_site);
-    hit->second.capacity = network_.capacity(from, to, now_);
-    // headroom is only ever consulted for channels backed by a flow, which
-    // are cross-site by construction; intra-site keys skip the allocation
-    // query entirely.
-    if (from_site != to_site) {
-      hit->second.headroom = std::max(
-          0.0, hit->second.capacity - network_.link_allocated(from, to));
-    }
-  }
-  return hit->second;
-}
-
-const Engine::LinkMemo& Engine::link_memo_at(std::int32_t from_site,
-                                             std::int32_t to_site) const {
-  const std::int64_t key = static_cast<std::int64_t>(from_site) *
-                               static_cast<std::int64_t>(num_sites_) +
-                           to_site;
-  const auto hit = link_memo_.find(key);
-  assert(hit != link_memo_.end());  // prefill_link_memo() covered every link
-  return hit->second;
-}
-
-void Engine::prefill_link_memo() {
-  // Insert the memo entry of every channel's link up front (serial). Each
-  // entry is a pure function of (from, to, now_) and the network state fixed
-  // for this tick, so eager vs. lazy computation yields identical bits; with
-  // every key present, the parallel chunks only ever do read-only lookups.
-  for (const ChannelDesc& c : chan_) {
-    link_memo(c.from_site, c.to_site);
-  }
-}
-
 void Engine::flow_demand_chunk(std::size_t chunk) {
   const std::size_t n = chan_.size();
   const std::size_t begin = chunk * kChanChunk;
@@ -619,12 +578,11 @@ void Engine::flow_demand_chunk(std::size_t chunk) {
                                      c_event_bytes_.data() + begin, dt,
                                      demand_scratch_.data() + begin);
   }
-  // Each channel owns a distinct flow (1:1 at append_channel), so the writes
-  // are shared-nothing; set_stream_demand is a lookup in a map no one
-  // mutates mid-tick plus a field store on that flow.
+  // Each channel owns a distinct flow (1:1 at append_channel), so the
+  // writes through the cached flow slots are shared-nothing.
   for (std::size_t i = begin; i < end; ++i) {
-    if (!chan_[i].flow.valid()) continue;
-    network_.set_stream_demand(chan_[i].flow, demand_scratch_[i]);
+    if (c_flow_[i] == nullptr) continue;
+    net::Network::set_stream_demand(*c_flow_[i], demand_scratch_[i]);
   }
 }
 
@@ -648,9 +606,13 @@ void Engine::delay_pre_chunk(std::size_t chunk) {
     d_weight_[ci] = w;
     d_wlat_[ci] = w * network_.latency_ms(SiteId(chan_[ci].from_site),
                                           SiteId(chan_[ci].to_site));
-    d_linkeps_[ci] = events_per_sec_over(
-        link_memo_at(chan_[ci].from_site, chan_[ci].to_site).capacity,
-        c_event_bytes_[ci]);
+    // Intra-site channels have no table row; read their capacity directly.
+    const std::int32_t link = chan_[ci].link;
+    const double capacity =
+        link >= 0 ? links_[link].capacity
+                  : network_.capacity(SiteId(chan_[ci].from_site),
+                                      SiteId(chan_[ci].to_site), now_);
+    d_linkeps_[ci] = events_per_sec_over(capacity, c_event_bytes_[ci]);
   }
 }
 
@@ -811,8 +773,7 @@ void Engine::tick(double t) {
              [this](std::size_t i) { phase_reset_chunk(i); });
   prev_delay_sec_ = last_.delay_sec;
   last_ = QueryTickMetrics{};
-  link_memo_.clear();
-  prefill_link_memo();
+  links_ = network_.links(t).data();
 
   if (config_.degrade) apply_degrade_drops(t);
 
@@ -998,8 +959,8 @@ void Engine::emit_tick_trace(double t, double dt) {
         .num("offered_eps", c_offered_[ci] / dt)
         .num("delivered_eps", c_delivered_[ci] / dt)
         .num("queue_events", c_queue_[ci]);
-    if (c.flow.valid() && network_.has_flow(c.flow)) {
-      event.num("allocated_mbps", network_.flow(c.flow).allocated_mbps);
+    if (c_flow_[ci] != nullptr) {
+      event.num("allocated_mbps", c_flow_[ci]->allocated_mbps);
     }
   }
 }

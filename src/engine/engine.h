@@ -323,7 +323,8 @@ class Engine {
     std::int32_t from_site = 0;
     std::int32_t to_site = 0;
     double event_bytes = 100.0;
-    FlowId flow;  // invalid for intra-site channels
+    FlowId flow;             // invalid for intra-site channels
+    std::int32_t link = -1;  // its link-table row (Flow::link); -1 intra-site
   };
 
   [[nodiscard]] std::size_t stage_index(OperatorId op) const;
@@ -340,8 +341,8 @@ class Engine {
   void append_channel(std::size_t from_stage, std::size_t to_stage, SiteId su,
                       SiteId sd, double event_bytes, double queue,
                       double delivered, double delivered_prev);
-  // Rebuilds the CSR adjacency indexes, cached flow pointers, and the
-  // precomputed routing shares after any change to the channel set.
+  // Rebuilds the CSR adjacency indexes, cached flow pointers and link rows,
+  // and the precomputed routing shares after any change to the channel set.
   void rebuild_channel_indexes();
   // Recomputes c_share_ only (placement/skew changed, channels did not).
   void recompute_channel_shares();
@@ -425,7 +426,7 @@ class Engine {
   std::vector<double> c_delivered_prev_;
   std::vector<double> c_event_bytes_;  // mirror of chan_[i].event_bytes
   std::vector<double> c_share_;        // precomputed routing share
-  std::vector<const net::Flow*> c_flow_;  // null for intra-site channels
+  std::vector<net::Flow*> c_flow_;  // null for intra-site channels
   std::vector<std::int32_t> c_to_stage_;  // mirror for the reset kernel
 
   // Hosting sites per stage (ascending site index), rebuilt with every
@@ -446,24 +447,9 @@ class Engine {
   // Per-tick scratch (no allocation after warm-up).
   std::vector<double> lat_scratch_;
   std::vector<double> demand_scratch_;
-  // Per-tick memo of link capacity and headroom (capacity - allocated),
-  // keyed by from*num_sites+to. Both inputs are fixed for the duration of a
-  // tick -- network_.step() runs before Engine::tick() and allocations only
-  // change there -- so channels sharing a link reuse the first computation
-  // bit-for-bit instead of re-querying the network.
-  struct LinkMemo {
-    double capacity = 0.0;
-    double headroom = 0.0;
-  };
-  std::unordered_map<std::int64_t, LinkMemo> link_memo_;
-  const LinkMemo& link_memo(std::int32_t from_site, std::int32_t to_site);
-  // Read-only lookup of an entry prefill_link_memo() already inserted; safe
-  // from parallel chunks (no mutation, no rehash).
-  [[nodiscard]] const LinkMemo& link_memo_at(std::int32_t from_site,
-                                             std::int32_t to_site) const;
-  // Inserts the memo entry of every channel's link (serial, at tick start),
-  // so in-tick consumers -- including parallel chunks -- only ever read.
-  void prefill_link_memo();
+  // The network's link table as of this tick (fetched at tick start, never
+  // stale: see Network::links), indexed by chan_[ci].link.
+  const net::Link* links_ = nullptr;
 
   // --- intra-run parallelism (DESIGN.md §11) -------------------------------
   //

@@ -11,10 +11,18 @@
 namespace wasp::net {
 namespace {
 
-// Link groups per parallel-region chunk of the untraced step. A layout
+// Link-table rows per parallel-region chunk of the fill. A layout
 // constant (never a function of the worker count): chunk boundaries must be
 // identical for --threads 1 and --threads N.
 constexpr std::size_t kLinkChunk = 16;
+
+// Lower bound of `to` in one source site's sorted (to site, row) list.
+template <typename Rows>
+auto find_row(Rows& rows, SiteId to) {
+  return std::lower_bound(
+      rows.begin(), rows.end(), to.value(),
+      [](const auto& r, std::int64_t site) { return r.first < site; });
+}
 
 }  // namespace
 
@@ -22,7 +30,8 @@ Network::Network(Topology topology, std::shared_ptr<const BandwidthModel> model)
     : topology_(std::move(topology)),
       model_(std::move(model)),
       link_partitioned_(topology_.num_sites() * topology_.num_sites(), 0),
-      site_down_(topology_.num_sites(), 0) {
+      site_down_(topology_.num_sites(), 0),
+      rows_from_(topology_.num_sites()) {
   assert(model_ != nullptr);
 }
 
@@ -39,6 +48,7 @@ void Network::set_link_partitioned(SiteId from, SiteId to, bool partitioned) {
   const auto d = static_cast<std::size_t>(to.value());
   assert(f < n && d < n);
   link_partitioned_[f * n + d] = partitioned ? 1 : 0;
+  links_stale_ = true;
 }
 
 bool Network::link_partitioned(SiteId from, SiteId to) const {
@@ -53,6 +63,7 @@ void Network::set_site_down(SiteId site, bool down) {
   const auto s = static_cast<std::size_t>(site.value());
   assert(s < site_down_.size());
   site_down_[s] = down ? 1 : 0;
+  links_stale_ = true;
 }
 
 bool Network::site_down(SiteId site) const {
@@ -61,50 +72,66 @@ bool Network::site_down(SiteId site) const {
   return site_down_[s] != 0;
 }
 
+std::int32_t Network::acquire_link(SiteId from, SiteId to) {
+  if (from == to) return -1;
+  auto& rows = rows_from_[static_cast<std::size_t>(from.value())];
+  auto it = find_row(rows, to);
+  if (it == rows.end() || it->first != to.value()) {
+    if (free_links_.empty()) {
+      free_links_.push_back(static_cast<std::int32_t>(links_.size()));
+      links_.emplace_back();
+    }
+    const std::int32_t row = free_links_.back();
+    free_links_.pop_back();
+    links_[static_cast<std::size_t>(row)] = Link{from, to, {}};
+    it = rows.insert(it, {to.value(), row});
+  }
+  ++links_[static_cast<std::size_t>(it->second)].refs;
+  return it->second;
+}
+
 FlowId Network::add_stream_flow(SiteId from, SiteId to) {
   const FlowId id(next_flow_id_++);
   flows_.emplace(id, Flow{id, from, to, FlowKind::kStream, 0.0, 0.0, 0.0,
-                          false});
-  link_groups_dirty_ = true;
+                          false, acquire_link(from, to)});
+  flows_dirty_ = links_stale_ = true;
   return id;
 }
 
 FlowId Network::add_bulk_flow(SiteId from, SiteId to, double size_mb) {
   const FlowId id(next_flow_id_++);
-  Flow f{id, from, to, FlowKind::kBulk, 0.0, 0.0, size_mb, size_mb <= 0.0};
-  flows_.emplace(id, f);
-  link_groups_dirty_ = true;
+  flows_.emplace(id, Flow{id, from, to, FlowKind::kBulk, 0.0, 0.0, size_mb,
+                          size_mb <= 0.0, acquire_link(from, to)});
+  flows_dirty_ = links_stale_ = true;
   return id;
 }
 
 void Network::remove_flow(FlowId id) {
-  flows_.erase(id);
-  link_groups_dirty_ = true;
-}
-
-void Network::rebuild_link_groups() {
-  link_groups_.clear();
-  local_flows_.clear();
-  link_index_.clear();
-  const auto n = static_cast<std::int64_t>(topology_.num_sites());
-  for (auto& [id, f] : flows_) {
-    if (f.from == f.to) {
-      local_flows_.push_back(&f);
-      continue;
+  const auto it = flows_.find(id);
+  if (it == flows_.end()) return;
+  if (const std::int32_t l = it->second.link; l >= 0) {
+    Link& link = links_[static_cast<std::size_t>(l)];
+    if (--link.refs == 0) {
+      auto& rows = rows_from_[static_cast<std::size_t>(link.from.value())];
+      rows.erase(find_row(rows, link.to));
+      free_links_.push_back(l);
     }
-    const std::int64_t key = f.from.value() * n + f.to.value();
-    const auto [it, inserted] = link_index_.try_emplace(key, link_groups_.size());
-    if (inserted) link_groups_.push_back(LinkGroup{f.from, f.to, {}});
-    link_groups_[it->second].flows.push_back(&f);
   }
-  link_groups_dirty_ = false;
+  flows_.erase(it);
+  flows_dirty_ = links_stale_ = true;
 }
 
-void Network::set_stream_demand(FlowId id, double mbps) {
-  auto it = flows_.find(id);
-  assert(it != flows_.end());
-  assert(it->second.kind == FlowKind::kStream);
-  it->second.demand_mbps = std::max(0.0, mbps);
+void Network::regroup() {
+  for (Link& link : links_) link.flows.clear();
+  local_flows_.clear();
+  for (auto& [id, f] : flows_) {
+    if (f.link < 0) {
+      local_flows_.push_back(&f);
+    } else {
+      links_[static_cast<std::size_t>(f.link)].flows.push_back(&f);
+    }
+  }
+  flows_dirty_ = false;
 }
 
 const Flow& Network::flow(FlowId id) const {
@@ -113,17 +140,20 @@ const Flow& Network::flow(FlowId id) const {
   return it->second;
 }
 
+Flow* Network::flow_slot(FlowId id) {
+  auto it = flows_.find(id);
+  assert(it != flows_.end());
+  return &it->second;
+}
+
 bool Network::has_flow(FlowId id) const { return flows_.contains(id); }
 
-void Network::waterfill(const std::vector<Flow*>& flows, double capacity,
-                        std::vector<Flow*>& active_scratch) {
+void Network::waterfill(std::vector<Flow*>& active_scratch, double capacity) {
   // Classic progressive filling. Bulk flows have unbounded demand and end up
   // with an equal split of whatever streams leave unused. The working set is
-  // compacted in place (stably, so the fill order matches the input order)
-  // inside the caller's scratch vector: no allocation after warm-up, and
-  // parallel callers pass distinct scratch.
+  // compacted in place (stably, so the fill order matches the input order):
+  // no allocation after warm-up.
   double remaining = capacity;
-  active_scratch.assign(flows.begin(), flows.end());
   for (Flow* f : active_scratch) f->allocated_mbps = 0.0;
 
   std::size_t active = active_scratch.size();
@@ -157,96 +187,88 @@ void Network::waterfill(const std::vector<Flow*>& flows, double capacity,
   }
 }
 
-void Network::step(double t, double dt) {
-  ensure_link_groups();
-  const bool tracing = trace_ != nullptr && trace_->enabled();
-  if (tracing) {
-    // Legacy per-step grouping, kept verbatim while tracing: the order of
-    // link_alloc events follows this map's iteration order, which checked-in
-    // golden traces pin down byte-for-byte. The allocations it computes are
-    // bit-identical to the cached path below (same flows, same map order).
-    std::unordered_map<std::int64_t, std::vector<Flow*>> per_link;
-    const auto n = static_cast<std::int64_t>(topology_.num_sites());
-    for (auto& [id, f] : flows_) {
-      if (f.kind == FlowKind::kBulk && f.done) {
-        f.allocated_mbps = 0.0;
-        continue;
-      }
-      if (f.from == f.to) {
-        if (site_down(f.from)) {
-          f.allocated_mbps = 0.0;
-        } else {
-          f.allocated_mbps = f.kind == FlowKind::kStream ? f.demand_mbps
-                                                         : kLocalBandwidthMbps;
-        }
-        continue;
-      }
-      per_link[f.from.value() * n + f.to.value()].push_back(&f);
-    }
-    for (auto& [key, flows] : per_link) {
-      const SiteId from(key / n);
-      const SiteId to(key % n);
-      const double cap = capacity(from, to, t);
-      waterfill(flows, cap, wf_active_);
-      double stream_mbps = 0.0, bulk_mbps = 0.0;
-      for (const Flow* f : flows) {
-        (f->kind == FlowKind::kStream ? stream_mbps : bulk_mbps) +=
-            f->allocated_mbps;
-      }
-      trace_->event_at(t, "link_alloc")
-          .num("from_site", static_cast<double>(from.value()))
-          .num("to_site", static_cast<double>(to.value()))
-          .num("capacity_mbps", cap)
-          .num("stream_mbps", stream_mbps)
-          .num("bulk_mbps", bulk_mbps)
-          .num("num_flows", static_cast<double>(flows.size()));
-    }
-  } else {
-    // Fast path: reuse the link grouping cached at the last flow add/remove.
-    // Group-internal flow order is the flows_ map order of that rebuild, so
-    // waterfill visits flows in the same sequence as the legacy path.
-    for (Flow* f : local_flows_) {
-      if (f->kind == FlowKind::kBulk && f->done) {
-        f->allocated_mbps = 0.0;
-      } else if (site_down(f->from)) {
-        f->allocated_mbps = 0.0;
-      } else {
-        f->allocated_mbps = f->kind == FlowKind::kStream ? f->demand_mbps
-                                                         : kLocalBandwidthMbps;
-      }
-    }
-    // Links are independent (each cross-site flow belongs to exactly one
-    // group), so the per-link fills fan out across the pool in fixed chunks
-    // of the cached group order. Each link is computed by exactly one chunk
-    // with the same flow order as the serial loop -- allocations are
-    // bit-identical for any thread count.
-    const std::size_t n_groups = link_groups_.size();
-    const std::size_t n_chunks = (n_groups + kLinkChunk - 1) / kLinkChunk;
-    if (wf_chunk_scratch_.size() < n_chunks) wf_chunk_scratch_.resize(n_chunks);
-    const auto fill_chunk = [&](std::size_t c) {
-      WfScratch& scratch = wf_chunk_scratch_[c];
-      const std::size_t gb = c * kLinkChunk;
-      const std::size_t ge = std::min(n_groups, gb + kLinkChunk);
-      for (std::size_t gi = gb; gi < ge; ++gi) {
-        LinkGroup& g = link_groups_[gi];
-        scratch.filtered.clear();
-        for (Flow* f : g.flows) {
+void Network::fill_links(double t, bool solve) {
+  if (flows_dirty_) regroup();
+  // Rows are independent, so the fill runs on the pool in fixed chunks of
+  // row ids. Each row is computed by one chunk with its flows in list order:
+  // every allocation and sum is bit-identical for any thread count.
+  const std::size_t n_links = links_.size();
+  const std::size_t n_chunks = (n_links + kLinkChunk - 1) / kLinkChunk;
+  if (wf_scratch_.size() < n_chunks) wf_scratch_.resize(n_chunks);
+  const auto fill_chunk = [&](std::size_t c) {
+    std::vector<Flow*>& active = wf_scratch_[c];
+    const std::size_t end = std::min(n_links, (c + 1) * kLinkChunk);
+    for (std::size_t li = c * kLinkChunk; li < end; ++li) {
+      Link& link = links_[li];
+      if (link.flows.empty()) continue;  // free row
+      link.capacity = capacity(link.from, link.to, t);
+      if (solve) {
+        active.clear();
+        for (Flow* f : link.flows) {
           if (f->kind == FlowKind::kBulk && f->done) {
             f->allocated_mbps = 0.0;
           } else {
-            scratch.filtered.push_back(f);
+            active.push_back(f);
           }
         }
-        if (!scratch.filtered.empty()) {
-          waterfill(scratch.filtered, capacity(g.from, g.to, t),
-                    scratch.active);
-        }
+        if (!active.empty()) waterfill(active, link.capacity);
       }
-    };
-    if (pool_ != nullptr) {
-      pool_->parallel_for(n_chunks, fill_chunk);
+      double allocated = 0.0;
+      for (const Flow* f : link.flows) allocated += f->allocated_mbps;
+      link.allocated = allocated;
+      link.headroom = std::max(0.0, link.capacity - allocated);
+    }
+  };
+  if (pool_ != nullptr) {
+    pool_->parallel_for(n_chunks, fill_chunk);
+  } else {
+    for (std::size_t c = 0; c < n_chunks; ++c) fill_chunk(c);
+  }
+  links_t_ = t;
+  links_stale_ = false;
+}
+
+const std::vector<Link>& Network::links(double t) {
+  if (links_stale_ || t != links_t_) fill_links(t, /*solve=*/false);
+  return links_;
+}
+
+std::int32_t Network::link_id(SiteId from, SiteId to) const {
+  const auto& rows = links_from(from);
+  const auto it = find_row(rows, to);
+  return it == rows.end() || it->first != to.value() ? -1 : it->second;
+}
+
+void Network::step(double t, double dt) {
+  fill_links(t, /*solve=*/true);  // regroups local_flows_ too
+  for (Flow* f : local_flows_) {
+    if ((f->kind == FlowKind::kBulk && f->done) || site_down(f->from)) {
+      f->allocated_mbps = 0.0;
     } else {
-      for (std::size_t c = 0; c < n_chunks; ++c) fill_chunk(c);
+      f->allocated_mbps = f->kind == FlowKind::kStream ? f->demand_mbps
+                                                       : kLocalBandwidthMbps;
+    }
+  }
+
+  const bool tracing = trace_ != nullptr && trace_->enabled();
+  if (tracing) {
+    for (const Link& link : links_) {
+      double stream_mbps = 0.0, bulk_mbps = 0.0;
+      std::size_t active = 0;
+      for (const Flow* f : link.flows) {
+        if (f->kind == FlowKind::kBulk && f->done) continue;
+        ++active;
+        (f->kind == FlowKind::kStream ? stream_mbps : bulk_mbps) +=
+            f->allocated_mbps;
+      }
+      if (active == 0) continue;
+      trace_->event_at(t, "link_alloc")
+          .num("from_site", static_cast<double>(link.from.value()))
+          .num("to_site", static_cast<double>(link.to.value()))
+          .num("capacity_mbps", link.capacity)
+          .num("stream_mbps", stream_mbps)
+          .num("bulk_mbps", bulk_mbps)
+          .num("num_flows", static_cast<double>(active));
     }
   }
 
@@ -275,21 +297,11 @@ std::size_t Network::num_bulk_flows() const {
   return count;
 }
 
-double Network::link_allocated(SiteId from, SiteId to) const {
-  // Cross-site links sum their cached group, in the same flows_ map order
-  // the full scan below would visit (bit-identical FP sum). Local links and
-  // links with no flows fall through to the scan. The grouping cache is
-  // logically const state (rebuilding it changes no observable allocation).
-  const_cast<Network*>(this)->ensure_link_groups();
+double Network::link_allocated(SiteId from, SiteId to) {
   if (from != to) {
-    const auto n = static_cast<std::int64_t>(topology_.num_sites());
-    const auto it = link_index_.find(from.value() * n + to.value());
-    if (it == link_index_.end()) return 0.0;
-    double total = 0.0;
-    for (const Flow* f : link_groups_[it->second].flows) {
-      total += f->allocated_mbps;
-    }
-    return total;
+    const std::int32_t id = link_id(from, to);
+    return id < 0 ? 0.0
+                  : links(links_t_)[static_cast<std::size_t>(id)].allocated;
   }
   double total = 0.0;
   for (const auto& [id, f] : flows_) {

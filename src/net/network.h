@@ -8,9 +8,13 @@
 // experiments (§8.7) depend on.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -41,6 +45,19 @@ struct Flow {
   double allocated_mbps = 0.0;  // filled in by allocate()
   double remaining_mb = 0.0;    // bulk only
   bool done = false;            // bulk only
+  std::int32_t link = -1;       // link-table row; -1 for same-site flows
+};
+
+// One row of the network's link table: a directed cross-site link that has
+// registered flows. step(t) writes the numeric fields once per link.
+struct Link {
+  SiteId from;
+  SiteId to;
+  std::vector<Flow*> flows;  // flows_ map order at the last regroup
+  double capacity = 0.0;     // capacity(from, to, t) at the table's time
+  double allocated = 0.0;    // sum of flows' allocated_mbps, in list order
+  double headroom = 0.0;     // max(0, capacity - allocated)
+  std::size_t refs = 0;      // registered flows; 0 = row free for reuse
 };
 
 class Network {
@@ -72,13 +89,24 @@ class Network {
 
   // --- flow management -----------------------------------------------------
 
+  // A cross-site flow joins its link's table row (allocated on the link's
+  // first flow, freed with its last) and keeps that row id in Flow::link.
   FlowId add_stream_flow(SiteId from, SiteId to);
   FlowId add_bulk_flow(SiteId from, SiteId to, double size_mb);
   void remove_flow(FlowId id);
-  void set_stream_demand(FlowId id, double mbps);
+  void set_stream_demand(FlowId id, double mbps) {
+    set_stream_demand(*flow_slot(id), mbps);
+  }
+  // The same write through a cached flow_slot() (no id lookup).
+  static void set_stream_demand(Flow& flow, double mbps) {
+    assert(flow.kind == FlowKind::kStream);
+    flow.demand_mbps = std::max(0.0, mbps);
+  }
 
   [[nodiscard]] const Flow& flow(FlowId id) const;
   [[nodiscard]] bool has_flow(FlowId id) const;
+  // Stable address of a live flow's record, valid until remove_flow(id).
+  [[nodiscard]] Flow* flow_slot(FlowId id);
 
   // Computes the max-min fair allocation of every link's capacity at time
   // `t` among its flows, then advances bulk transfers by `dt` seconds.
@@ -86,9 +114,23 @@ class Network {
   // call.
   void step(double t, double dt);
 
+  // The link table as of time `t`: one row per link id (rows with no flows
+  // are free and hold stale numbers). step(t) fills it; a read at another
+  // time, or after a flow add/remove or fault setter, refreshes every row
+  // first -- capacity at `t`, allocations as the last step() left them.
+  [[nodiscard]] const std::vector<Link>& links(double t);
+  // Row id of the directed link from -> to; -1 when it has no flows (or
+  // from == to).
+  [[nodiscard]] std::int32_t link_id(SiteId from, SiteId to) const;
+  // (to site, row id) of every link out of `from` with flows, by to site.
+  [[nodiscard]] const std::vector<std::pair<std::int64_t, std::int32_t>>&
+  links_from(SiteId from) const {
+    return rows_from_[static_cast<std::size_t>(from.value())];
+  }
+
   // Sum of allocated bandwidth on the directed link from -> to (Mbps) as of
-  // the last step(); used by monitors and tests.
-  [[nodiscard]] double link_allocated(SiteId from, SiteId to) const;
+  // the last step(); used by tests.
+  [[nodiscard]] double link_allocated(SiteId from, SiteId to);
 
   [[nodiscard]] std::size_t num_flows() const { return flows_.size(); }
 
@@ -97,66 +139,56 @@ class Network {
   [[nodiscard]] std::size_t num_bulk_flows() const;
 
   // Optional trace hook (non-owning; may be null). step() emits one
-  // "link_alloc" event per active WAN link and a "bulk_done" event when a
-  // bulk (migration) transfer completes.
+  // "link_alloc" event per link with unfinished flows, in link-id order, and
+  // a "bulk_done" event when a bulk (migration) transfer completes.
   void set_trace(obs::TraceEmitter* trace) { trace_ = trace; }
   [[nodiscard]] obs::TraceEmitter* trace() const { return trace_; }
 
-  // Optional intra-run executor (non-owning; null = serial). The untraced
-  // step() chunks its per-link waterfills across the pool: links are
-  // independent (each non-local flow belongs to exactly one link group), and
-  // each link's fill is computed by exactly one chunk with the same flow
-  // order either way, so allocations are bit-identical for any thread count.
-  // The traced path stays serial: golden traces pin its event order.
+  // Optional intra-run executor (non-owning; null = serial). The link-table
+  // fill chunks its rows across the pool: each row (link) is computed by
+  // exactly one chunk with the same flow order either way, so allocations
+  // are bit-identical for any thread count. Traced runs share this fill;
+  // their link_alloc events are emitted serially after it.
   void set_pool(exec::ThreadPool* pool) { pool_ = pool; }
   [[nodiscard]] exec::ThreadPool* pool() const { return pool_; }
 
  private:
-  // Max-min fair share for the flows of one link given its capacity. Bulk
-  // flows are treated as having unbounded demand. Operates on a scratch copy
-  // (`active`, caller-provided so parallel chunks stay shared-nothing) so
-  // the caller's vector keeps its order.
-  static void waterfill(const std::vector<Flow*>& flows, double capacity,
-                        std::vector<Flow*>& active);
+  // Max-min fair share of `capacity` among `active`: one link's unfinished
+  // flows in list order, in caller-owned scratch (parallel chunks pass
+  // distinct vectors) that the fill consumes. Bulk flows are treated as
+  // having unbounded demand.
+  static void waterfill(std::vector<Flow*>& active, double capacity);
 
-  // Flows grouped by directed link, cached across step() calls. Flow churn
-  // (placement changes, migrations) is orders of magnitude rarer than ticks,
-  // so add/remove only mark the cache dirty and the grouping is rebuilt
-  // lazily at the next use -- a whole topology's worth of channels can be
-  // registered in O(F) instead of O(F^2). The rebuild iterates `flows_` in
-  // map order -- the exact order the per-step grouping used to see (the
-  // map's iteration order depends only on its contents, not on when the
-  // rebuild runs) -- so waterfill's progressive filling and link_allocated's
-  // summation visit flows in the same sequence and stay bit-identical.
-  struct LinkGroup {
-    SiteId from;
-    SiteId to;
-    std::vector<Flow*> flows;  // map-iteration order at last rebuild
-  };
-  void rebuild_link_groups();
-  void ensure_link_groups() {
-    if (link_groups_dirty_) rebuild_link_groups();
-  }
+  // Link-table row of from -> to for a new flow, allocating one (the last
+  // freed row, else a new one) on the link's first flow.
+  std::int32_t acquire_link(SiteId from, SiteId to);
+  // Rebuilds every row's flow list (and local_flows_) by one pass over
+  // `flows_` in map order -- the order waterfill's progressive filling and
+  // the allocated sums have always visited. Flow churn is orders of
+  // magnitude rarer than ticks, so add/remove only mark the lists dirty.
+  void regroup();
+  // Writes capacity (at `t`), allocated and headroom of every row; with
+  // `solve`, runs each row's waterfill first (the step() path).
+  void fill_links(double t, bool solve);
 
   Topology topology_;
   std::shared_ptr<const BandwidthModel> model_;
   std::vector<char> link_partitioned_;  // num_sites^2, row-major from*n+to
   std::vector<char> site_down_;         // num_sites
   std::unordered_map<FlowId, Flow> flows_;
-  std::vector<LinkGroup> link_groups_;           // cross-site links
-  std::vector<Flow*> local_flows_;               // from == to
-  std::unordered_map<std::int64_t, std::size_t> link_index_;  // key -> group
-  std::vector<Flow*> waterfill_scratch_;  // active flows of one link
-  std::vector<Flow*> wf_active_;          // waterfill's working set
-  // Per-chunk scratch of the parallel untraced step (persists across steps;
-  // no allocation after warm-up). One slot per link-group chunk.
-  struct WfScratch {
-    std::vector<Flow*> filtered;  // group flows minus finished bulks
-    std::vector<Flow*> active;    // waterfill working set
-  };
-  std::vector<WfScratch> wf_chunk_scratch_;
+  std::vector<Link> links_;
+  std::vector<std::int32_t> free_links_;  // rows with refs == 0
+  // Per source site, (to site, row) of its links sorted by destination:
+  // O(links) entries, updated only by flow add/remove.
+  std::vector<std::vector<std::pair<std::int64_t, std::int32_t>>> rows_from_;
+  std::vector<Flow*> local_flows_;  // from == to
+  // Per-chunk waterfill working sets of the table fill (persist across
+  // steps; no allocation after warm-up). One slot per row chunk.
+  std::vector<std::vector<Flow*>> wf_scratch_;
   exec::ThreadPool* pool_ = nullptr;
-  bool link_groups_dirty_ = true;
+  bool flows_dirty_ = true;   // row flow lists need regroup()
+  bool links_stale_ = true;   // row numbers need fill_links()
+  double links_t_ = 0.0;      // time of the last fill
   std::int64_t next_flow_id_ = 0;
   obs::TraceEmitter* trace_ = nullptr;
 };

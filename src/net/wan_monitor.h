@@ -26,12 +26,13 @@ class WanMonitor {
     double ewma_alpha = 0.5;
   };
 
-  WanMonitor(const Network& network, const Config& config, Rng rng);
+  WanMonitor(Network& network, const Config& config, Rng rng);
 
   // Advances the monitor; probes all links whenever the interval elapses.
   void tick(double t);
 
-  // Forces an immediate probe of all links (used at deployment time).
+  // Forces an immediate probe of all links (used at deployment time). Links
+  // with flows read their headroom from the network's link table.
   void probe_now(double t);
 
   // Latest bandwidth estimate (Mbps) for the directed link from -> to.
@@ -41,7 +42,7 @@ class WanMonitor {
   [[nodiscard]] double last_probe_time() const { return last_probe_; }
 
  private:
-  const Network& network_;
+  Network& network_;
   Config config_;
   Rng rng_;
   double last_probe_ = -1e18;

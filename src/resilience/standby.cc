@@ -269,6 +269,18 @@ std::vector<std::pair<OperatorId, SiteId>> StandbyManager::replicas() const {
   return out;
 }
 
+std::size_t StandbyManager::inflight_sync_flows() const {
+  std::size_t count = 0;
+  for (const Slot& slot : slots_) {
+    for (const InFlightSync& sync : slot.inflight) {
+      if (network_.has_flow(sync.flow) && !network_.flow(sync.flow).done) {
+        ++count;
+      }
+    }
+  }
+  return count;
+}
+
 void StandbyManager::drop_slot(std::size_t index) {
   for (const InFlightSync& sync : slots_[index].inflight) {
     if (network_.has_flow(sync.flow)) network_.remove_flow(sync.flow);

@@ -116,6 +116,8 @@ class StandbyManager {
   [[nodiscard]] std::size_t completed_syncs() const {
     return completed_syncs_;
   }
+  // Sync flows launched and not yet finished (still in the network).
+  [[nodiscard]] std::size_t inflight_sync_flows() const;
 
  private:
   struct InFlightSync {

@@ -1,5 +1,7 @@
 #include "runtime/recorder.h"
 
+#include <algorithm>
+
 #include "obs/metrics_registry.h"
 
 namespace wasp::runtime {
@@ -47,7 +49,12 @@ void Recorder::bind_metrics(obs::MetricsRegistry* registry) {
 }
 
 double Recorder::processed_fraction() const {
-  return total_generated_ > 0.0 ? total_processed_ / total_generated_ : 1.0;
+  if (total_generated_ <= 0.0) return 1.0;
+  // Admitted events never outnumber generated ones, but the two totals are
+  // separate double sums over different per-tick splits (a backlog admits
+  // later than it was generated), so their rounding can leave the ratio a
+  // few ulps above 1. Clamp it to the fraction it is.
+  return std::clamp(total_processed_ / total_generated_, 0.0, 1.0);
 }
 
 }  // namespace wasp::runtime

@@ -306,6 +306,16 @@ void WaspSystem::apply_workload() {
   }
 }
 
+std::size_t WaspSystem::orphaned_bulk_flows() const {
+  std::size_t owned = standby_ != nullptr ? standby_->inflight_sync_flows() : 0;
+  if (transition_.has_value()) {
+    for (FlowId f : transition_->bulk_flows) {
+      if (network_.has_flow(f) && !network_.flow(f).done) ++owned;
+    }
+  }
+  return network_.num_bulk_flows() - owned;
+}
+
 std::vector<int> WaspSystem::free_slots() const {
   const auto used = engine_->slots_in_use();
   std::vector<int> free(used.size(), 0);

@@ -195,6 +195,11 @@ class WaspSystem {
   [[nodiscard]] bool transition_in_progress() const {
     return transition_.has_value();
   }
+  // Unfinished bulk flows in the network that neither the live transition
+  // nor an in-flight standby sync owns: leaked transfers. A run stopped
+  // mid-migration or mid-sync still reports zero. (Flows of other systems
+  // sharing the network would count too.)
+  [[nodiscard]] std::size_t orphaned_bulk_flows() const;
   [[nodiscard]] const faults::FailureDetector& detector() const {
     return detector_;
   }

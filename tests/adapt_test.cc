@@ -28,7 +28,7 @@ using query::OperatorKind;
 // Truthful view over a Network (tests want determinism, not probe noise).
 class TruthView final : public physical::NetworkView {
  public:
-  TruthView(const net::Network& network, const engine::Engine* engine)
+  TruthView(net::Network& network, const engine::Engine* engine)
       : network_(network), engine_(engine) {}
 
   [[nodiscard]] std::size_t num_sites() const override {
@@ -49,7 +49,7 @@ class TruthView final : public physical::NetworkView {
   }
 
  private:
-  const net::Network& network_;
+  net::Network& network_;
   const engine::Engine* engine_;
 };
 

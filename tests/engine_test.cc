@@ -13,6 +13,7 @@
 #include "net/bandwidth_model.h"
 #include "net/network.h"
 #include "net/topology.h"
+#include "net/trace_io.h"
 #include "obs/metrics_registry.h"
 #include "physical/physical_plan.h"
 #include "query/logical_plan.h"
@@ -316,6 +317,80 @@ TEST(EngineTest, ApplyPlacementMovesTasksAndKeepsQueues) {
   f.run(10.0, 40.0, 10'000.0);
   EXPECT_NEAR(f.engine->last_tick().processing_ratio, 1.0, 0.05);
   EXPECT_NEAR(f.engine->last_tick().sink_eps, 10'000.0, 300.0);
+}
+
+// The engine reads link capacity and headroom from the network's link table.
+// A fault setter or placement change between network.step(t) and
+// engine.tick(t) leaves that table stale; the tick must still see the live
+// capacity(). Each case runs twin fixtures over an idle pipeline (every flow
+// demand 0, so every allocation is 0 whichever order the network is stepped
+// in) and differs only in the order of step(t) and the change: the reference
+// twin applies the change first, so step(t) itself fills the table from the
+// live capacity(). Every engine output must then match bit for bit.
+void ExpectSameEngineState(const Fixture& a, const Fixture& b) {
+  const QueryTickMetrics& ta = a.engine->last_tick();
+  const QueryTickMetrics& tb = b.engine->last_tick();
+  EXPECT_EQ(ta.admitted_eps, tb.admitted_eps);
+  EXPECT_EQ(ta.sink_eps, tb.sink_eps);
+  EXPECT_EQ(ta.delay_sec, tb.delay_sec);
+  EXPECT_EQ(ta.processing_ratio, tb.processing_ratio);
+  for (OperatorId op : {a.src_id, a.map_id, a.sink_id}) {
+    const OperatorMetrics ma = a.engine->op_metrics(op);
+    const OperatorMetrics mb = b.engine->op_metrics(op);
+    EXPECT_EQ(ma.processed_eps, mb.processed_eps) << "op " << op.value();
+    EXPECT_EQ(ma.emitted_eps, mb.emitted_eps) << "op " << op.value();
+    EXPECT_EQ(ma.backpressured, mb.backpressured) << "op " << op.value();
+    EXPECT_EQ(ma.input_queue_events, mb.input_queue_events);
+    EXPECT_EQ(ma.channel_backlog_events, mb.channel_backlog_events);
+  }
+}
+
+TEST(EngineTest, FaultBetweenStepAndTickSeesLiveCapacity) {
+  Fixture changed, reference;
+  for (Fixture* f : {&changed, &reference}) {
+    f->network.set_link_partitioned(SiteId(0), SiteId(1), true);
+    f->run(0.0, 4.0, 0.0);
+    f->engine->set_source_rate(f->src_id, SiteId(0), 200'000.0);
+  }
+  // Heal the partition after / before the step at t = 5.
+  changed.network.step(5.0, 1.0);
+  changed.network.set_link_partitioned(SiteId(0), SiteId(1), false);
+  reference.network.set_link_partitioned(SiteId(0), SiteId(1), false);
+  reference.network.step(5.0, 1.0);
+  changed.engine->tick(5.0);
+  reference.engine->tick(5.0);
+  // A stale (partitioned) table would have capped the source's output at
+  // the 5000-event channel buffer floor.
+  EXPECT_GT(changed.engine->op_metrics(changed.src_id).emitted_eps, 50'000.0);
+  ExpectSameEngineState(changed, reference);
+  changed.run(5.0, 10.0, 200'000.0);
+  reference.run(5.0, 10.0, 200'000.0);
+  ExpectSameEngineState(changed, reference);
+}
+
+TEST(EngineTest, PlacementBetweenStepAndTickSeesLiveCapacity) {
+  // Link 0 -> 2 runs at 2% (20 Mbps), unlike the 0 -> 1 link whose table
+  // row the moved channel's new link may reuse.
+  auto model = std::make_shared<net::TraceBandwidth>();
+  model->add_sample(SiteId(0), SiteId(2), 0.0, 0.02);
+  Fixture changed(1000.0, 50'000.0, {}, model);
+  Fixture reference(1000.0, 50'000.0, {}, model);
+  for (Fixture* f : {&changed, &reference}) {
+    f->run(0.0, 4.0, 0.0);
+    f->engine->set_source_rate(f->src_id, SiteId(0), 200'000.0);
+  }
+  // Move the map from site 1 to site 2 after / before the step at t = 5.
+  const StagePlacement to_site2{.per_site = {0, 0, 1}};
+  changed.network.step(5.0, 1.0);
+  changed.engine->apply_placement(changed.map_id, to_site2);
+  reference.engine->apply_placement(reference.map_id, to_site2);
+  reference.network.step(5.0, 1.0);
+  changed.engine->tick(5.0);
+  reference.engine->tick(5.0);
+  ExpectSameEngineState(changed, reference);
+  changed.run(5.0, 10.0, 200'000.0);
+  reference.run(5.0, 10.0, 200'000.0);
+  ExpectSameEngineState(changed, reference);
 }
 
 TEST(EngineTest, MigrationSeedsChannelDrainEstimate) {

@@ -2,9 +2,14 @@
 // flow allocation (max-min fairness), bulk transfers, and the WAN monitor.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -14,6 +19,7 @@
 #include "net/topology.h"
 #include "net/trace_io.h"
 #include "net/wan_monitor.h"
+#include "obs/trace.h"
 
 namespace wasp::net {
 namespace {
@@ -347,6 +353,153 @@ TEST_P(NetworkFairnessProperty, AllocationIsFeasibleAndDemandBounded) {
 
 INSTANTIATE_TEST_SUITE_P(RandomFlowSets, NetworkFairnessProperty,
                          ::testing::Range<std::uint64_t>(1, 31));
+
+// Link-table fuzz: twin networks (one traced, one not) take the same random
+// stream/bulk churn, demands, partitions and site outages. Every step, the
+// twins' allocations must match bit for bit; every table row must carry
+// capacity() and the in-order sum of its flows (also after a fault or flow
+// change since the step, and at a time never stepped); and the traced twin
+// must emit exactly one link_alloc per link with unfinished flows, in
+// link-id order.
+class LinkTableFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LinkTableFuzz, TwinsAgreeAndTableMatchesBruteForce) {
+  constexpr int kSites = 5;
+  Rng rng(GetParam());
+  RandomWalkBandwidth::Config walk;
+  walk.horizon_sec = 100.0;
+  walk.period_sec = 0.5;  // capacities move every half second
+  Rng model_rng(GetParam() + 1000);
+  const auto model =
+      std::make_shared<RandomWalkBandwidth>(kSites, walk, model_rng);
+  Network plain = make_net(kSites, 1, 50.0, 10.0, model);
+  Network traced = make_net(kSites, 1, 50.0, 10.0, model);
+  const auto sink = std::make_shared<obs::MemorySink>(1 << 20);
+  obs::TraceEmitter emitter(sink);
+  traced.set_trace(&emitter);
+
+  std::vector<FlowId> live;
+  const auto both = [&](auto&& op) {
+    op(plain);
+    op(traced);
+  };
+  const auto random_site = [&] {
+    return SiteId(rng.uniform_int(0, kSites - 1));
+  };
+  // Random churn and faults, applied identically to both twins.
+  const auto mutate = [&] {
+    const double u = rng.uniform();
+    const SiteId from = random_site();
+    const SiteId to = random_site();
+    if (u < 0.35) {
+      FlowId id;
+      both([&](Network& n) { id = n.add_stream_flow(from, to); });
+      live.push_back(id);
+    } else if (u < 0.55) {
+      const double mb = rng.uniform(0.0, 40.0);  // some finish in a step
+      FlowId id;
+      both([&](Network& n) { id = n.add_bulk_flow(from, to, mb); });
+      live.push_back(id);
+    } else if (u < 0.8) {
+      if (live.empty()) return;
+      const auto k = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      both([&](Network& n) { n.remove_flow(live[k]); });
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+    } else if (u < 0.92) {
+      const bool cut = !plain.link_partitioned(from, to);
+      both([&](Network& n) { n.set_link_partitioned(from, to, cut); });
+    } else {
+      const bool down = !plain.site_down(from);
+      both([&](Network& n) { n.set_site_down(from, down); });
+    }
+  };
+  // The table as of `t` against capacity() and an in-order brute-force sum
+  // over each row's flows, which must be exactly the live flows of its link.
+  const auto check_table = [&](double t) {
+    const std::vector<Link>& links = plain.links(t);
+    std::map<std::pair<std::int64_t, std::int64_t>, std::size_t> per_link;
+    for (FlowId id : live) {
+      const Flow& f = plain.flow(id);
+      if (f.from != f.to) ++per_link[{f.from.value(), f.to.value()}];
+    }
+    for (std::size_t id = 0; id < links.size(); ++id) {
+      const Link& link = links[id];
+      if (link.refs == 0) continue;
+      ASSERT_EQ(plain.link_id(link.from, link.to),
+                static_cast<std::int32_t>(id));
+      ASSERT_EQ(link.flows.size(),
+                (per_link[{link.from.value(), link.to.value()}]));
+      EXPECT_EQ(link.capacity, plain.capacity(link.from, link.to, t));
+      double sum = 0.0;
+      for (const Flow* f : link.flows) {
+        EXPECT_EQ(f->link, static_cast<std::int32_t>(id));
+        sum += f->allocated_mbps;
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(link.allocated),
+                std::bit_cast<std::uint64_t>(sum));
+      EXPECT_EQ(link.headroom, std::max(0.0, link.capacity - sum));
+      EXPECT_EQ(plain.link_allocated(link.from, link.to), sum);
+    }
+    for (const auto& [key, count] : per_link) {
+      EXPECT_GE(plain.link_id(SiteId(key.first), SiteId(key.second)), 0);
+    }
+  };
+
+  for (int tick = 1; tick <= 40; ++tick) {
+    const double t = tick;
+    const auto churn = rng.uniform_int(0, 4);
+    for (std::int64_t i = 0; i < churn; ++i) mutate();
+    for (FlowId id : live) {
+      if (plain.flow(id).kind != FlowKind::kStream) continue;
+      const double mbps = rng.uniform(0.0, 40.0);
+      both([&](Network& n) { n.set_stream_demand(id, mbps); });
+    }
+    // Expected link_alloc sequence: links with unfinished flows before the
+    // step (bulk completions inside it still count), in link-id order.
+    std::map<std::int32_t, std::size_t> expected;
+    for (FlowId id : live) {
+      const Flow& f = plain.flow(id);
+      if (f.link >= 0 && !f.done) ++expected[f.link];
+    }
+    const std::uint64_t seq_before = emitter.emitted();
+
+    both([&](Network& n) { n.step(t, 1.0); });
+
+    for (FlowId id : live) {
+      const Flow& a = plain.flow(id);
+      const Flow& b = traced.flow(id);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.allocated_mbps),
+                std::bit_cast<std::uint64_t>(b.allocated_mbps));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.remaining_mb),
+                std::bit_cast<std::uint64_t>(b.remaining_mb));
+      EXPECT_EQ(a.done, b.done);
+    }
+    std::vector<std::pair<std::int64_t, std::int64_t>> emitted, wanted;
+    for (const obs::TraceEvent& e : sink->of_type("link_alloc")) {
+      if (e.seq < seq_before) continue;
+      emitted.emplace_back(static_cast<std::int64_t>(e.num("from_site")),
+                           static_cast<std::int64_t>(e.num("to_site")));
+      const auto it = expected.find(plain.link_id(
+          SiteId(emitted.back().first), SiteId(emitted.back().second)));
+      ASSERT_NE(it, expected.end());
+      EXPECT_EQ(e.num("num_flows"), static_cast<double>(it->second));
+    }
+    for (const auto& [row, count] : expected) {
+      const Link& link = plain.links(t)[static_cast<std::size_t>(row)];
+      wanted.emplace_back(link.from.value(), link.to.value());
+    }
+    EXPECT_EQ(emitted, wanted) << "tick " << tick;
+
+    check_table(t);
+    mutate();  // a fault or flow change after the step...
+    check_table(t);  // ...is seen by the next read at the same time
+    check_table(t + 0.5);  // and so is a time never stepped
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomChurn, LinkTableFuzz,
+                         ::testing::Range<std::uint64_t>(1, 21));
 
 TEST(WanMonitorTest, ProbesOnlyAtInterval) {
   Network net = make_net(2, 1, 100.0, 10.0);

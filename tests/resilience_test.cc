@@ -208,5 +208,28 @@ TEST(StandbyTest, ConsumedReplicaIsReplannedAtNextSyncBoundary) {
   }
 }
 
+TEST(StandbyTest, InFlightSyncIsNotAnOrphanedBulkFlow) {
+  // A run stopped mid-sync leaves the sync's bulk flow in the network; it is
+  // owned by the standby manager, so nothing is orphaned. A bulk flow that
+  // nobody owns is.
+  Testbed bed;
+  auto spec = bed.topk();
+  auto pattern = bed.uniform_rates(spec, 10'000.0);
+  runtime::SystemConfig config;
+  config.mode = runtime::AdaptationMode::kWasp;
+  config.standby_replicas = 1;
+  runtime::WaspSystem system(bed.network, std::move(spec), pattern, config);
+  for (int i = 0; i < 300 && system.standby()->inflight_sync_flows() == 0;
+       ++i) {
+    system.step();
+  }
+  ASSERT_GT(system.standby()->inflight_sync_flows(), 0u);
+  ASSERT_GT(bed.network.num_bulk_flows(), 0u);
+  EXPECT_EQ(system.orphaned_bulk_flows(), 0u);
+
+  bed.network.add_bulk_flow(bed.east.front(), bed.sink, 100.0);
+  EXPECT_EQ(system.orphaned_bulk_flows(), 1u);
+}
+
 }  // namespace
 }  // namespace wasp::resilience

@@ -17,6 +17,7 @@
 #include "net/bandwidth_model.h"
 #include "net/network.h"
 #include "net/topology.h"
+#include "runtime/recorder.h"
 #include "workload/patterns.h"
 #include "workload/queries.h"
 
@@ -61,6 +62,18 @@ struct Testbed {
   std::vector<SiteId> east, west, edges;
   SiteId sink;
 };
+
+TEST(RecorderTest, ProcessedFractionNeverExceedsOneUnderRounding) {
+  // 0.3 events generated in one tick and admitted as 0.1 + 0.2 over two:
+  // the admitted sum rounds to 0.30000000000000004, above the generated 0.3.
+  Recorder rec;
+  rec.record_tick(1.0, 0.0, 1.0, 1.0, 0.0, /*generated=*/0.3,
+                  /*admitted=*/0.1, /*dropped=*/0.0);
+  rec.record_tick(2.0, 0.0, 1.0, 1.0, 0.0, /*generated=*/0.0,
+                  /*admitted=*/0.2, /*dropped=*/0.0);
+  ASSERT_GT(rec.total_processed() / rec.total_generated(), 1.0);
+  EXPECT_EQ(rec.processed_fraction(), 1.0);
+}
 
 TEST(WaspSystemTest, DeploysAllStagesWithinSlotLimits) {
   Testbed bed;
