@@ -12,7 +12,7 @@
 
 #include "bench_common.h"
 #include "bench_options.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel.h"
 
 int main(int argc, char** argv) {
   using namespace wasp;
@@ -42,7 +42,6 @@ int main(int argc, char** argv) {
     auto pattern = uniform_rates(spec, 10'000.0);
     pattern.add_step(300.0, 2.0);
     runtime::SystemConfig config;
-    config.threads = opts.threads;
     opts.apply_profile(&config);
     config.mode = runtime::AdaptationMode::kWasp;
     config.scheduler.alpha = alpha;

@@ -13,7 +13,7 @@
 
 #include "bench_common.h"
 #include "bench_options.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel.h"
 
 namespace {
 
@@ -37,7 +37,6 @@ Outcome run(wasp::runtime::AdaptationMode mode,
   pattern.add_step(200.0, 2.5);
   pattern.add_step(800.0, 1.0);
   runtime::SystemConfig config;
-  config.threads = opts.threads;
   opts.apply_profile(&config);
   config.mode = mode;
   config.slo_sec = 10.0;

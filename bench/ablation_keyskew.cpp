@@ -36,7 +36,6 @@ Outcome run(wasp::runtime::AdaptationMode mode, double skew,
   auto pattern = uniform_rates(spec, 10'000.0);
   pattern.add_step(200.0, 2.0);
   runtime::SystemConfig config;
-  config.threads = opts.threads;
   opts.apply_profile(&config);
   config.mode = mode;
   if (mode != runtime::AdaptationMode::kNoAdapt) {

@@ -32,7 +32,6 @@ int main(int argc, char** argv) {
     p_topk.add_step(300.0, 2.5);  // tenant A surges
     auto p_ysb = uniform_rates(ysb, 10'000.0);
     runtime::SystemConfig cfg;
-    cfg.threads = opts.threads;
     opts.apply_profile(&cfg);
     cfg.mode = adapt ? runtime::AdaptationMode::kWasp
                      : runtime::AdaptationMode::kNoAdapt;

@@ -30,7 +30,6 @@ Outcome run(wasp::runtime::AdaptationMode mode,
   auto spec = make_query(bed, Query::kTopk);
   auto pattern = uniform_rates(spec, 10'000.0);
   runtime::SystemConfig config;
-  config.threads = opts.threads;
   opts.apply_profile(&config);
   config.mode = mode;
   if (mode != runtime::AdaptationMode::kNoAdapt) {

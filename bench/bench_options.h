@@ -29,6 +29,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -37,6 +38,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/parse.h"
 #include "net/topology_spec.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
@@ -59,7 +61,6 @@ struct BenchOptions {
   std::string metrics_out;  // empty unless --metrics was given
   std::string topology;     // canonical spec; empty = paper testbed
   int jobs = 1;             // worker threads for the driver's independent runs
-  int threads = 1;          // intra-run worker threads per simulation
   bool profile = false;     // always-on phase profiler (DESIGN.md §13)
   int profile_every = 60;   // profile-event cadence in ticks
 
@@ -71,7 +72,18 @@ struct BenchOptions {
     config->profile_every = profile_every;
   }
 
-  // Parses argv; exits with usage on an unknown flag or an unopenable file.
+  // The integer after `prefix` in `arg`; exits 2 when it is not one.
+  static int number_in(const std::string& arg, const std::string& prefix) {
+    try {
+      return parse_number<int>(arg.substr(prefix.size()));
+    } catch (const std::exception&) {
+      std::cerr << "invalid value in " << arg << "\n";
+      std::exit(2);
+    }
+  }
+
+  // Parses argv; exits 2 on an unknown flag or a malformed value, 1 on an
+  // unopenable file.
   static BenchOptions parse(int argc, char** argv) {
     BenchOptions opts;
     for (int i = 1; i < argc; ++i) {
@@ -79,21 +91,15 @@ struct BenchOptions {
       const std::string trace_prefix = "--trace-out=";
       const std::string metrics_prefix = "--metrics=";
       const std::string jobs_prefix = "--jobs=";
-      const std::string threads_prefix = "--threads=";
       const std::string profile_every_prefix = "--profile-every=";
       const std::string topology_prefix = "--topology=";
       if (arg == "--help" || arg == "-h") {
         std::cout << argv[0]
-                  << " [--jobs=N] [--threads=N] [--profile] [--trace-out=FILE] "
+                  << " [--jobs=N] [--profile] [--trace-out=FILE] "
                      "[--metrics=FILE]\n"
                      "  --jobs=N          fan independent runs across N "
                      "worker threads\n"
                      "                    (results identical for any N)\n"
-                     "  --threads=N       intra-run worker threads sharing "
-                     "each run's tick\n"
-                     "                    (results identical for any N; keep "
-                     "jobs*threads\n"
-                     "                    within the machine's cores)\n"
                      "  --trace-out=FILE  write the observability trace "
                      "(JSONL) to FILE;\n"
                      "                    with --jobs>1 each traced run gets "
@@ -125,13 +131,14 @@ struct BenchOptions {
       } else if (arg.rfind(metrics_prefix, 0) == 0) {
         opts.metrics_out = arg.substr(metrics_prefix.size());
       } else if (arg.rfind(jobs_prefix, 0) == 0) {
-        opts.jobs = std::max(1, std::atoi(arg.substr(jobs_prefix.size()).c_str()));
-      } else if (arg.rfind(threads_prefix, 0) == 0) {
-        opts.threads =
-            std::max(1, std::atoi(arg.substr(threads_prefix.size()).c_str()));
+        opts.jobs = number_in(arg, jobs_prefix);
+        if (opts.jobs < 1) {
+          std::cerr << "--jobs must be >= 1\n";
+          std::exit(2);
+        }
       } else if (arg.rfind(profile_every_prefix, 0) == 0) {
-        opts.profile_every = std::max(
-            1, std::atoi(arg.substr(profile_every_prefix.size()).c_str()));
+        opts.profile_every =
+            std::max(1, number_in(arg, profile_every_prefix));
         opts.profile = true;
       } else if (arg == "--profile") {
         opts.profile = true;
@@ -147,7 +154,7 @@ struct BenchOptions {
         opts.topology = spec->to_string();
       } else {
         std::cerr << "unknown argument: " << arg
-                  << " (supported: --jobs=N --threads=N --profile "
+                  << " (supported: --jobs=N --profile "
                      "--profile-every=N --trace-out=FILE --metrics=FILE "
                      "--topology=SPEC)\n";
         std::exit(2);

@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
       pattern.add_step(300.0, 2.0);
       pattern.add_step(600.0, 1.0);
       runtime::SystemConfig config;
-      config.threads = opts.threads;
       opts.apply_profile(&config);
       config.mode = kModes[m];
       config.slo_sec = 10.0;

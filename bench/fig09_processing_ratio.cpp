@@ -14,7 +14,7 @@
 
 #include "bench_common.h"
 #include "bench_options.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel.h"
 
 int main(int argc, char** argv) {
   using namespace wasp;
@@ -47,7 +47,6 @@ int main(int argc, char** argv) {
     pattern.add_step(300.0, 2.0);
     pattern.add_step(600.0, 1.0);
     runtime::SystemConfig config;
-    config.threads = opts.threads;
     opts.apply_profile(&config);
     config.mode = kModes[m];
     config.slo_sec = 10.0;

@@ -40,7 +40,6 @@ int main(int argc, char** argv) {
     pattern.add_step(300.0, 2.0);   // x2
     pattern.add_step(900.0, 1.0);   // back to x1
     runtime::SystemConfig config;
-    config.threads = opts.threads;
     opts.apply_profile(&config);
     config.mode = kModes[m];
     if (kModes[m] != runtime::AdaptationMode::kNoAdapt) {

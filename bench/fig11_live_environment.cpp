@@ -12,7 +12,7 @@
 
 #include "bench_common.h"
 #include "bench_options.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel.h"
 
 namespace {
 
@@ -26,7 +26,6 @@ struct LiveRun {
 LiveRun run_mode(wasp::runtime::AdaptationMode mode,
                  wasp::TimeSeries* variation_out,
                  std::shared_ptr<wasp::obs::TraceSink> trace_sink = nullptr,
-                 int threads = 1,
                  const wasp::bench::BenchOptions* opts = nullptr) {
   using namespace wasp;
   using namespace wasp::bench;
@@ -67,7 +66,6 @@ LiveRun run_mode(wasp::runtime::AdaptationMode mode,
   }
 
   runtime::SystemConfig config;
-  config.threads = threads;
   if (opts != nullptr) opts->apply_profile(&config);
   config.mode = mode;
   config.slo_sec = 10.0;
@@ -114,7 +112,7 @@ int main(int argc, char** argv) {
         mode, mode == runtime::AdaptationMode::kNoAdapt ? variations : nullptr,
         mode == runtime::AdaptationMode::kWasp ? opts.sink_for("wasp")
                                                : nullptr,
-        opts.threads, &opts);
+        &opts);
   });
   for (std::size_t i = 0; i < runs.size(); ++i) {
     opts.write_metrics(to_string(kModes[i]), runs[i].metrics);

@@ -46,7 +46,6 @@ QualityRun run_mode(wasp::runtime::AdaptationMode mode,
   }
 
   runtime::SystemConfig config;
-  config.threads = opts.threads;
   opts.apply_profile(&config);
   config.mode = mode;
   config.slo_sec = 10.0;

@@ -39,7 +39,6 @@ MigrationRun run_strategy(wasp::state::MigrationStrategy strategy,
   auto pattern = uniform_rates(spec, 10'000.0);
 
   runtime::SystemConfig config;
-  config.threads = opts.threads;
   opts.apply_profile(&config);
   config.mode = runtime::AdaptationMode::kNoAdapt;  // controlled experiment
   config.migration = strategy;

@@ -42,7 +42,6 @@ Run run_case(double state_mb, bool partitioned,
   auto pattern = uniform_rates(spec, 10'000.0);
 
   runtime::SystemConfig config;
-  config.threads = opts.threads;
   opts.apply_profile(&config);
   config.mode = runtime::AdaptationMode::kNoAdapt;
   config.migration = state::MigrationStrategy::kNetworkAware;

@@ -15,7 +15,6 @@
 
 #include "common/rng.h"
 #include "engine/engine.h"
-#include "exec/thread_pool.h"
 #include "microengine/micro_engine.h"
 #include "ilp/branch_and_bound.h"
 #include "lp/simplex.h"
@@ -440,17 +439,8 @@ BENCHMARK(BM_MigrationMinMaxLp)->Arg(2)->Arg(4)->Arg(8)->Arg(32);
 // topology with sources split east/west, hub placement at the sink site.
 void run_engine_tick_topk(benchmark::State& state, const net::Topology& topo,
                           const std::vector<SiteId>& east,
-                          const std::vector<SiteId>& west, SiteId sink,
-                          int threads = 1) {
+                          const std::vector<SiteId>& west, SiteId sink) {
   net::Network network(topo, std::make_shared<net::ConstantBandwidth>());
-  // Intra-run parallelism (DESIGN.md §11): threads-1 pool workers plus the
-  // caller. Results are bit-identical across thread counts, so the thread
-  // axis measures pure tick throughput scaling.
-  std::unique_ptr<exec::ThreadPool> pool;
-  if (threads > 1) {
-    pool = std::make_unique<exec::ThreadPool>(threads - 1);
-    network.set_pool(pool.get());
-  }
   auto spec = workload::make_topk_topics(east, west, sink);
   physical::PhysicalPlan physical;
   // Simple hub placement for the micro-benchmark.
@@ -467,9 +457,7 @@ void run_engine_tick_topk(benchmark::State& state, const net::Topology& topo,
     }
     physical.add_stage(id, placement);
   }
-  engine::EngineConfig config;
-  config.pool = pool.get();
-  engine::Engine engine(spec.plan, physical, network, config);
+  engine::Engine engine(spec.plan, physical, network, engine::EngineConfig{});
   for (OperatorId src : spec.sources) {
     for (SiteId s : spec.plan.op(src).pinned_sites) {
       engine.set_source_rate(src, s, 10'000.0);
@@ -503,22 +491,18 @@ BENCHMARK(BM_EngineTickTopk);
 // Scaling variant: uniform topology at 16/64/256 sites, one source per
 // non-hub site. Tick cost is dominated by the per-(stage, site) group and
 // per-channel loops, so this tracks how the SoA data layout behaves as the
-// site count (and with it the channel count) grows. The second axis is the
-// intra-run worker count (1 = serial engine, N = pool with N-1 workers);
-// ticks are bit-identical across the axis, only wall time moves.
+// site count (and with it the channel count) grows.
 void BM_EngineTickTopkScale(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
   net::Topology topo = net::Topology::make_uniform(n, 4, 500.0, 20.0);
   const SiteId sink = SiteId(0);
   std::vector<SiteId> east, west;
   for (int i = 1; i < n; ++i) {
     (i % 2 != 0 ? east : west).push_back(SiteId(i));
   }
-  run_engine_tick_topk(state, topo, east, west, sink, threads);
+  run_engine_tick_topk(state, topo, east, west, sink);
 }
-BENCHMARK(BM_EngineTickTopkScale)
-    ->ArgsProduct({{16, 64, 256}, {1, 2, 4}});
+BENCHMARK(BM_EngineTickTopkScale)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_MicroEngineRecords(benchmark::State& state) {
   // Per-record DES throughput: how many simulated records per second of

@@ -37,7 +37,6 @@ Measured run_mode(wasp::runtime::AdaptationMode mode,
   }
   auto pattern = uniform_rates(spec, 10'000.0);
   runtime::SystemConfig config;
-  config.threads = opts.threads;
   opts.apply_profile(&config);
   config.mode = mode;
   config.slo_sec = 10.0;

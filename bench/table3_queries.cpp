@@ -28,7 +28,6 @@ QueryInfo inspect(wasp::bench::Query q,
   auto spec = make_query(bed, q);
   auto pattern = uniform_rates(spec, 10'000.0);
   runtime::SystemConfig config;
-  config.threads = opts.threads;
   opts.apply_profile(&config);
   config.mode = runtime::AdaptationMode::kNoAdapt;
   config.trace_sink = opts.sink;

@@ -14,15 +14,18 @@
 // Run `wasp_sim --help` for the full flag list.
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/log.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "faults/fault_injector.h"
@@ -58,8 +61,7 @@ struct Options {
   double rate = 10'000.0;
   std::uint64_t seed = 7;
   std::string topology;  // --topology spec; empty = paper testbed / --sites
-  int sites = 0;    // 0 = the 16-site paper testbed
-  int threads = 1;  // intra-run worker threads
+  int sites = 0;  // 0 = the 16-site paper testbed
   int standby_replicas = 0;  // hot standbys per protected stage
   double slo = 10.0;
   std::string slo_spec;  // --slo=key=value,... (watchdog form)
@@ -107,11 +109,6 @@ void print_usage() {
                                    --seed (same seed, same topology) and
                                    auto-enables region-decomposed failure
                                    recovery. Mutually exclusive with --sites
-  --threads=N                      intra-run worker threads sharing one run's
-                                   tick (default 1). Results and traces are
-                                   bit-identical for any N; combine with a
-                                   sweep's --jobs so jobs x threads stays
-                                   within the machine's cores
   --standby-replicas=N             hot-standby replicas per protected stateful
                                    stage (default 0 = replan-only recovery).
                                    Replicas are placed in distinct failure
@@ -146,13 +143,13 @@ void print_usage() {
   --trace-out=FILE                 write the structured observability trace
                                    (schema-versioned JSONL) to FILE
   --profile                        always-on phase profiler (DESIGN.md §13):
-                                   per-tick phase timings and thread-pool
-                                   stats, printed as a table at exit and --
-                                   with --trace-out -- emitted as periodic
-                                   `profile` trace events for `wasp_trace
-                                   profile`. Pure observer: results and
-                                   traces stay bit-identical (timing fields
-                                   are wall_*-prefixed and diff-exempt)
+                                   per-tick phase timings, printed as a table
+                                   at exit and -- with --trace-out -- emitted
+                                   as periodic `profile` trace events for
+                                   `wasp_trace profile`. Pure observer:
+                                   results and traces stay bit-identical
+                                   (timing fields are wall_*-prefixed and
+                                   diff-exempt)
   --profile-every=N                emit a profile event every N ticks
                                    (default 60; implies --profile)
   --metrics=FILE                   write the final metrics-registry snapshot
@@ -165,16 +162,14 @@ void print_usage() {
 )";
 }
 
-bool parse_pair(const std::string& value, std::pair<double, double>* out) {
+// "T:FACTOR" -> (T, FACTOR); throws std::invalid_argument when malformed.
+std::pair<double, double> parse_pair(const std::string& value) {
   const auto colon = value.find(':');
-  if (colon == std::string::npos) return false;
-  try {
-    out->first = std::stod(value.substr(0, colon));
-    out->second = std::stod(value.substr(colon + 1));
-  } catch (...) {
-    return false;
+  if (colon == std::string::npos) {
+    throw std::invalid_argument("expected T:FACTOR");
   }
-  return true;
+  return {parse_number<double>(value.substr(0, colon)),
+          parse_number<double>(value.substr(colon + 1))};
 }
 
 bool parse_args(int argc, char** argv, Options* opts) {
@@ -185,92 +180,85 @@ bool parse_args(int argc, char** argv, Options* opts) {
       if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
       return std::nullopt;
     };
-    if (arg == "--help" || arg == "-h") {
-      print_usage();
-      std::exit(0);
-    } else if (auto v = value_of("--query")) {
-      opts->query = *v;
-    } else if (auto v = value_of("--mode")) {
-      opts->mode = *v;
-    } else if (auto v = value_of("--duration")) {
-      opts->duration = std::stod(*v);
-    } else if (auto v = value_of("--rate")) {
-      opts->rate = std::stod(*v);
-    } else if (auto v = value_of("--seed")) {
-      opts->seed = std::stoull(*v);
-    } else if (auto v = value_of("--topology")) {
-      opts->topology = *v;
-    } else if (auto v = value_of("--sites")) {
-      opts->sites = std::stoi(*v);
-      if (opts->sites < 2) {
-        std::cerr << "--sites needs at least 2 (sink + a source site)\n";
-        return false;
-      }
-    } else if (auto v = value_of("--threads")) {
-      opts->threads = std::stoi(*v);
-      if (opts->threads < 1) {
-        std::cerr << "--threads must be >= 1\n";
-        return false;
-      }
-    } else if (auto v = value_of("--standby-replicas")) {
-      opts->standby_replicas = std::stoi(*v);
-      if (opts->standby_replicas < 0) {
-        std::cerr << "--standby-replicas must be >= 0\n";
-        return false;
-      }
-    } else if (auto v = value_of("--slo")) {
-      // Two forms: a plain number is the legacy degrade/hybrid SLO seconds;
-      // anything with '=' is a declarative watchdog spec.
-      if (v->find('=') != std::string::npos) {
-        opts->slo_spec = *v;
+    try {
+      if (arg == "--help" || arg == "-h") {
+        print_usage();
+        std::exit(0);
+      } else if (auto v = value_of("--query")) {
+        opts->query = *v;
+      } else if (auto v = value_of("--mode")) {
+        opts->mode = *v;
+      } else if (auto v = value_of("--duration")) {
+        opts->duration = parse_number<double>(*v);
+      } else if (auto v = value_of("--rate")) {
+        opts->rate = parse_number<double>(*v);
+      } else if (auto v = value_of("--seed")) {
+        opts->seed = parse_number<std::uint64_t>(*v);
+      } else if (auto v = value_of("--topology")) {
+        opts->topology = *v;
+      } else if (auto v = value_of("--sites")) {
+        opts->sites = parse_number<int>(*v);
+        if (opts->sites < 2) {
+          std::cerr << "--sites needs at least 2 (sink + a source site)\n";
+          return false;
+        }
+      } else if (auto v = value_of("--standby-replicas")) {
+        opts->standby_replicas = parse_number<int>(*v);
+        if (opts->standby_replicas < 0) {
+          std::cerr << "--standby-replicas must be >= 0\n";
+          return false;
+        }
+      } else if (auto v = value_of("--slo")) {
+        // Two forms: a plain number is the legacy degrade/hybrid SLO seconds;
+        // anything with '=' is a declarative watchdog spec.
+        if (v->find('=') != std::string::npos) {
+          opts->slo_spec = *v;
+        } else {
+          opts->slo = parse_number<double>(*v);
+        }
+      } else if (auto v = value_of("--alpha")) {
+        opts->alpha = parse_number<double>(*v);
+      } else if (auto v = value_of("--trace")) {
+        opts->trace_file = *v;
+      } else if (auto v = value_of("--workload-trace")) {
+        opts->workload_trace_file = *v;
+      } else if (auto v = value_of("--trace-out")) {
+        opts->trace_out = *v;
+      } else if (auto v = value_of("--metrics")) {
+        opts->metrics_out = *v;
+      } else if (auto v = value_of("--bench-out")) {
+        opts->bench_out = *v;
+      } else if (auto v = value_of("--fault-schedule")) {
+        opts->fault_schedule_file = *v;
+      } else if (auto v = value_of("--workload-step")) {
+        opts->workload_steps.push_back(parse_pair(*v));
+      } else if (auto v = value_of("--bandwidth-step")) {
+        opts->bandwidth_steps.push_back(parse_pair(*v));
+      } else if (auto v = value_of("--fail")) {
+        opts->failure = parse_pair(*v);
+      } else if (auto v = value_of("--profile-every")) {
+        opts->profile_every = parse_number<int>(*v);
+        if (opts->profile_every < 1) {
+          std::cerr << "--profile-every must be >= 1\n";
+          return false;
+        }
+        opts->profile = true;
+      } else if (arg == "--profile") {
+        opts->profile = true;
+      } else if (arg == "--live-bandwidth") {
+        opts->live_bandwidth = true;
+      } else if (arg == "--live-workload") {
+        opts->live_workload = true;
+      } else if (arg == "--csv") {
+        opts->csv = true;
+      } else if (arg == "--verbose") {
+        opts->verbose = true;
       } else {
-        opts->slo = std::stod(*v);
-      }
-    } else if (auto v = value_of("--alpha")) {
-      opts->alpha = std::stod(*v);
-    } else if (auto v = value_of("--trace")) {
-      opts->trace_file = *v;
-    } else if (auto v = value_of("--workload-trace")) {
-      opts->workload_trace_file = *v;
-    } else if (auto v = value_of("--trace-out")) {
-      opts->trace_out = *v;
-    } else if (auto v = value_of("--metrics")) {
-      opts->metrics_out = *v;
-    } else if (auto v = value_of("--bench-out")) {
-      opts->bench_out = *v;
-    } else if (auto v = value_of("--fault-schedule")) {
-      opts->fault_schedule_file = *v;
-    } else if (auto v = value_of("--workload-step")) {
-      std::pair<double, double> step;
-      if (!parse_pair(*v, &step)) return false;
-      opts->workload_steps.push_back(step);
-    } else if (auto v = value_of("--bandwidth-step")) {
-      std::pair<double, double> step;
-      if (!parse_pair(*v, &step)) return false;
-      opts->bandwidth_steps.push_back(step);
-    } else if (auto v = value_of("--fail")) {
-      std::pair<double, double> f;
-      if (!parse_pair(*v, &f)) return false;
-      opts->failure = f;
-    } else if (auto v = value_of("--profile-every")) {
-      opts->profile_every = std::stoi(*v);
-      if (opts->profile_every < 1) {
-        std::cerr << "--profile-every must be >= 1\n";
+        std::cerr << "unknown argument: " << arg << "\n";
         return false;
       }
-      opts->profile = true;
-    } else if (arg == "--profile") {
-      opts->profile = true;
-    } else if (arg == "--live-bandwidth") {
-      opts->live_bandwidth = true;
-    } else if (arg == "--live-workload") {
-      opts->live_workload = true;
-    } else if (arg == "--csv") {
-      opts->csv = true;
-    } else if (arg == "--verbose") {
-      opts->verbose = true;
-    } else {
-      std::cerr << "unknown argument: " << arg << "\n";
+    } catch (const std::exception&) {
+      std::cerr << "invalid value in " << arg << "\n";
       return false;
     }
   }
@@ -449,7 +437,6 @@ int main(int argc, char** argv) {
   config.slo_sec = opts.slo;
   config.scheduler.alpha = opts.alpha;
   config.seed = opts.seed;
-  config.threads = opts.threads;
   config.standby_replicas = opts.standby_replicas;
   config.profile = opts.profile;
   config.profile_every = opts.profile_every;
@@ -561,7 +548,6 @@ int main(int argc, char** argv) {
                                     : (opts.sites > 0 ? "uniform" : "paper"))
           << "\",\n"
           << "  \"sites\": " << topo.num_sites() << ",\n"
-          << "  \"threads\": " << opts.threads << ",\n"
           << "  \"wall_ms\": " << wall_ms << ",\n"
           << "  \"ticks\": " << ticks << ",\n"
           << "  \"ticks_per_sec\": " << (wall_ms > 0.0 ? ticks * 1e3 / wall_ms

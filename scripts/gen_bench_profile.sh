@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Regenerates BENCH_profile.json: the checked-in per-phase wall-time
 # breakdown of the §10.6 e2e workload (topk/wasp/900 ticks/live bandwidth,
-# seed 7) at --threads 1 and 4, plus the observability-overhead measurement
-# that CI gates at <5% (best-of-3 ticks/s, --profile on vs off, both runs
-# writing their trace to /dev/null so only the profiling differs).
+# seed 7), plus the observability-overhead measurement that CI gates at <5%
+# (best-of-5 ticks/s, --profile on vs off, both runs writing their trace to
+# /dev/null so only the profiling differs).
 #
 # Usage: scripts/gen_bench_profile.sh [BUILD_DIR] [OUT_JSON]
 set -euo pipefail
@@ -26,14 +26,12 @@ trap 'rm -rf "$tmp"' EXIT
 COMMON=(--query=topk --mode=wasp --duration=900 --rate=10000 --seed=7
         --live-bandwidth)
 
-# Per-phase breakdown: one profiled run per thread count, aggregated by
-# `wasp_trace profile --json` from the trace's cumulative profile events.
-for t in 1 4; do
-  "$SIM" "${COMMON[@]}" --threads=$t --profile --profile-every=60 \
-    --trace-out="$tmp/trace_t$t.jsonl" \
-    --bench-out="$tmp/bench_profiled_t$t.json" > /dev/null
-  "$TRACE" profile --json "$tmp/trace_t$t.jsonl" > "$tmp/phases_t$t.json"
-done
+# Per-phase breakdown: one profiled run, aggregated by `wasp_trace profile
+# --json` from the trace's cumulative profile events.
+"$SIM" "${COMMON[@]}" --profile --profile-every=60 \
+  --trace-out="$tmp/trace.jsonl" --bench-out="$tmp/bench_profiled.json" \
+  > /dev/null
+"$TRACE" profile --json "$tmp/trace.jsonl" > "$tmp/phases.json"
 
 # Overhead gate input: best-of-5 interleaved ticks/s with profiling on vs
 # off. Both variants write their trace to /dev/null -- identical IO, so the
@@ -41,15 +39,13 @@ done
 # samples each because single-run throughput swings tens of percent on
 # shared runners; the max of five is stable to a couple percent, which is
 # the margin the <5% CI gate needs (true overhead is well under 1%).
-for t in 1 4; do
-  # One untimed warmup so cold caches land on neither variant.
-  "$SIM" "${COMMON[@]}" --threads=$t --trace-out=/dev/null > /dev/null
-  for i in 1 2 3 4 5; do
-    "$SIM" "${COMMON[@]}" --threads=$t --profile --profile-every=60 \
-      --trace-out=/dev/null --bench-out="$tmp/on_t${t}_$i.json" > /dev/null
-    "$SIM" "${COMMON[@]}" --threads=$t \
-      --trace-out=/dev/null --bench-out="$tmp/off_t${t}_$i.json" > /dev/null
-  done
+# One untimed warmup so cold caches land on neither variant.
+"$SIM" "${COMMON[@]}" --trace-out=/dev/null > /dev/null
+for i in 1 2 3 4 5; do
+  "$SIM" "${COMMON[@]}" --profile --profile-every=60 \
+    --trace-out=/dev/null --bench-out="$tmp/on_$i.json" > /dev/null
+  "$SIM" "${COMMON[@]}" \
+    --trace-out=/dev/null --bench-out="$tmp/off_$i.json" > /dev/null
 done
 
 python3 - "$tmp" "$OUT" <<'EOF'
@@ -65,32 +61,23 @@ def load(name):
         return json.load(f)
 
 
-runs = []
-for t in (1, 4):
-    profile = load(f"phases_t{t}.json")
-    bench = load(f"bench_profiled_t{t}.json")
-    run = {
-        "threads": t,
-        "ticks": bench["ticks"],
-        "ticks_per_sec": bench["ticks_per_sec"],
-        "coverage_pct": profile["coverage_pct"],
-        "phases": profile["phases"],
-    }
-    if "pool" in profile:
-        run["pool"] = profile["pool"]
-    runs.append(run)
+profile = load("phases.json")
+bench = load("bench_profiled.json")
+runs = [{
+    "ticks": bench["ticks"],
+    "ticks_per_sec": bench["ticks_per_sec"],
+    "coverage_pct": profile["coverage_pct"],
+    "phases": profile["phases"],
+}]
 
-overhead = []
 reps = (1, 2, 3, 4, 5)
-for t in (1, 4):
-    on = max(load(f"on_t{t}_{i}.json")["ticks_per_sec"] for i in reps)
-    off = max(load(f"off_t{t}_{i}.json")["ticks_per_sec"] for i in reps)
-    overhead.append({
-        "threads": t,
-        "ticks_per_sec_profile_on": on,
-        "ticks_per_sec_profile_off": off,
-        "overhead_pct": round(100.0 * (1.0 - on / off), 3),
-    })
+on = max(load(f"on_{i}.json")["ticks_per_sec"] for i in reps)
+off = max(load(f"off_{i}.json")["ticks_per_sec"] for i in reps)
+overhead = [{
+    "ticks_per_sec_profile_on": on,
+    "ticks_per_sec_profile_off": off,
+    "overhead_pct": round(100.0 * (1.0 - on / off), 3),
+}]
 
 doc = {
     "schema": "wasp-bench-profile-v1",
@@ -108,7 +95,7 @@ doc = {
     "note": ("phase wall times are host-dependent; the stable signals are "
              "the relative per-phase split, coverage_pct (>=90 means the "
              "instrumented phases explain the tick), and overhead_pct "
-             "(CI gates <5 at each thread count, best-of-5)"),
+             "(CI gates <5, best-of-5)"),
     "runs": runs,
     "overhead": overhead,
 }
@@ -118,12 +105,10 @@ with open(out_path, "w") as f:
     f.write("\n")
 
 for o in overhead:
-    print(f"threads={o['threads']}: profile on "
-          f"{o['ticks_per_sec_profile_on']:.0f} t/s vs off "
+    print(f"profile on {o['ticks_per_sec_profile_on']:.0f} t/s vs off "
           f"{o['ticks_per_sec_profile_off']:.0f} t/s "
           f"({o['overhead_pct']:+.2f}% overhead)")
 for r in runs:
-    print(f"threads={r['threads']}: coverage {r['coverage_pct']:.1f}% "
-          f"over {r['ticks']} ticks")
+    print(f"coverage {r['coverage_pct']:.1f}% over {r['ticks']} ticks")
 print(f"wrote {out_path}")
 EOF

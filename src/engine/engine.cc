@@ -8,7 +8,6 @@
 #include "common/log.h"
 #include "common/units.h"
 #include "engine/kernels.h"
-#include "exec/thread_pool.h"
 #include "obs/metrics_registry.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
@@ -19,11 +18,6 @@ namespace {
 // Delay estimates are capped so a fully stalled pipeline reports "hours",
 // not infinity (keeps CDFs and log-scale plots well-behaved).
 constexpr double kMaxDelaySec = 1e5;
-
-// Channels per parallel-region chunk. A layout constant, deliberately not a
-// function of the worker count: chunk boundaries (and therefore which data
-// each chunk touches) must be identical for --threads 1 and --threads N.
-constexpr std::size_t kChanChunk = 512;
 
 }  // namespace
 
@@ -92,8 +86,6 @@ void Engine::build_runtime() {
   g_processed_prev_.assign(num_groups, 0.0);
   g_source_rate_.assign(num_groups, 0.0);
   g_capacity_.assign(num_groups, 0.0);
-  proc_scratch_.assign(num_groups, 0.0);
-  bp_scratch_.assign(num_groups, 0);
 
   for (const auto& op : logical_.operators()) {
     const auto i = static_cast<std::size_t>(op.id.value());
@@ -200,10 +192,6 @@ void Engine::append_channel(std::size_t from_stage, std::size_t to_stage,
 void Engine::rebuild_channel_indexes() {
   const std::size_t n = chan_.size();
   want_by_channel_.assign(n, 0.0);
-  d_qexcess_.assign(n, 0.0);
-  d_weight_.assign(n, 0.0);
-  d_wlat_.assign(n, 0.0);
-  d_linkeps_.assign(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     c_to_stage_[i] = chan_[i].to_stage;
     c_flow_[i] = chan_[i].flow.valid() ? network_.flow_slot(chan_[i].flow)
@@ -411,34 +399,19 @@ void Engine::apply_degrade_drops(double t) {
   }
 }
 
-void Engine::run_region(std::size_t n,
-                        const std::function<void(std::size_t)>& fn) {
-  if (config_.pool != nullptr) {
-    config_.pool->parallel_for(n, fn);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
-}
-
-// Fused deliver+process for one hosting site of `par_stage_` -- the region
-// chunk of the per-stage pass. Legally reordered from the legacy
-// "deliver_into(all sites) then process_stage(all sites)" sequence: a site's
-// process step reads only state its own deliver step (or earlier topo
-// stages) wrote -- in-channel and out-channel sets of one stage are disjoint
-// (the plan is a DAG, no self-loops) and every per-gid array is touched only
-// by its own site's chunk -- so fusing per site changes no value, and chunks
-// for different sites are shared-nothing. Cross-site accumulators
-// (stage_arrived_/stage_emitted_/total processed/backpressure) are NOT
-// updated here; tick() recombines them serially in legacy operand order from
-// c_delivered_ / proc_scratch_ / bp_scratch_.
-void Engine::stage_site_chunk(std::size_t k) {
-  const std::size_t stage_idx = par_stage_;
+// Fused deliver+process for one hosting site of a stage. Legally reordered
+// from the legacy "deliver_into(all sites) then process_stage(all sites)"
+// sequence: a site's process step reads only state its own deliver step (or
+// earlier topo stages) wrote -- in-channel and out-channel sets of one stage
+// are disjoint (the plan is a DAG, no self-loops) and every per-gid array is
+// touched only by its own site -- so fusing per site changes no value.
+// Cross-site accumulators (stage_arrived_/stage_emitted_/total processed/
+// backpressure) are folded by tick() in legacy operand order.
+double Engine::deliver_and_process(std::size_t stage_idx, std::size_t s,
+                                   bool* backpressured) {
   const double t = now_;
   const double dt = config_.tick_sec;
-  const std::size_t s = ss_ids_[ss_off_[stage_idx] + k];
   const std::size_t gi = gid(stage_idx, s);
-  proc_scratch_[gi] = 0.0;
-  bp_scratch_[gi] = 0;
 
   // --- deliver: ration the receiver's free input-buffer space over its
   // inbound channels, proportionally to what each channel can ship. ---
@@ -456,8 +429,8 @@ void Engine::stage_site_chunk(std::size_t k) {
     const double space = std::max(0.0, input_cap - g_input_queue_[gi]);
     if (space > 0.0) {
       double total_want = 0.0;
-      for (std::uint32_t k2 = ib; k2 < ie; ++k2) {
-        const std::size_t ci = in_ids_[k2];
+      for (std::uint32_t k = ib; k < ie; ++k) {
+        const std::size_t ci = in_ids_[k];
         double transferable = c_queue_[ci];
         if (c_flow_[ci] != nullptr) {
           const double mbps = c_flow_[ci]->allocated_mbps;
@@ -470,8 +443,8 @@ void Engine::stage_site_chunk(std::size_t k) {
       }
       if (total_want > 0.0) {
         const double factor = std::min(1.0, space / total_want);
-        for (std::uint32_t k2 = ib; k2 < ie; ++k2) {
-          const std::size_t ci = in_ids_[k2];
+        for (std::uint32_t k = ib; k < ie; ++k) {
+          const std::size_t ci = in_ids_[k];
           const double moved = want_by_channel_[ci] * factor;
           c_queue_[ci] -= moved;
           c_delivered_[ci] += moved;
@@ -482,9 +455,9 @@ void Engine::stage_site_chunk(std::size_t k) {
   }
 
   // --- process ---
-  if (g_restore_until_[gi] > t) return;  // still replaying checkpoint
+  if (g_restore_until_[gi] > t) return 0.0;  // still replaying checkpoint
   g_restore_until_[gi] = -1.0;
-  if (capacity <= 0.0) return;
+  if (capacity <= 0.0) return 0.0;
   const double sel = stage_selectivity_[stage_idx];
 
   double proc = std::min(g_input_queue_[gi], capacity * dt);
@@ -493,8 +466,8 @@ void Engine::stage_site_chunk(std::size_t k) {
   // channel (CSR bucket of this group's channels, precomputed shares).
   const std::uint32_t ob = out_off_[gi];
   const std::uint32_t oe = out_off_[gi + 1];
-  for (std::uint32_t k2 = ob; k2 < oe; ++k2) {
-    const std::size_t ci = out_ids_[k2];
+  for (std::uint32_t k = ob; k < oe; ++k) {
+    const std::size_t ci = out_ids_[k];
     const double share = c_share_[ci];
     if (share <= 0.0 || sel <= 0.0) continue;
     // A dead receiver (failed site) blocks its channels entirely. The
@@ -534,14 +507,13 @@ void Engine::stage_site_chunk(std::size_t k) {
     const double max_proc = space / (sel * share);
     if (max_proc < proc) {
       proc = max_proc;
-      bp_scratch_[gi] = 1;
+      *backpressured = true;
     }
   }
   proc = std::max(0.0, proc);
 
   g_input_queue_[gi] -= proc;
   g_processed_prev_[gi] = proc;
-  proc_scratch_[gi] = proc;
 
   // Window bookkeeping: state resets at tumbling-window boundaries.
   if (stage_windowed_[stage_idx] != 0) {
@@ -554,65 +526,30 @@ void Engine::stage_site_chunk(std::size_t k) {
 
   // Emit.
   const double out = proc * sel;
-  for (std::uint32_t k2 = ob; k2 < oe; ++k2) {
-    const std::size_t ci = out_ids_[k2];
+  for (std::uint32_t k = ob; k < oe; ++k) {
+    const std::size_t ci = out_ids_[k];
     const double pushed = out * c_share_[ci];
     if (pushed <= 0.0) continue;
     c_queue_[ci] += pushed;
     c_offered_[ci] += pushed;
   }
+  return proc;
 }
 
-void Engine::flow_demand_chunk(std::size_t chunk) {
-  const std::size_t n = chan_.size();
-  const std::size_t begin = chunk * kChanChunk;
-  const std::size_t end = std::min(n, begin + kChanChunk);
-  const std::size_t len = end - begin;
-  const double dt = config_.tick_sec;
-  if (config_.use_fast_kernels) {
-    kernels::flow_demand_mbps(len, c_queue_.data() + begin,
-                              c_event_bytes_.data() + begin, dt,
-                              demand_scratch_.data() + begin);
-  } else {
-    kernels::flow_demand_mbps_scalar(len, c_queue_.data() + begin,
-                                     c_event_bytes_.data() + begin, dt,
-                                     demand_scratch_.data() + begin);
-  }
-  // Each channel owns a distinct flow (1:1 at append_channel), so the
-  // writes through the cached flow slots are shared-nothing.
-  for (std::size_t i = begin; i < end; ++i) {
-    if (c_flow_[i] == nullptr) continue;
-    net::Network::set_stream_demand(*c_flow_[i], demand_scratch_[i]);
-  }
-}
-
-void Engine::set_flow_demands(double /*dt*/) {
+void Engine::set_flow_demands(double dt) {
   const std::size_t n = chan_.size();
   demand_scratch_.resize(n);
-  run_region((n + kChanChunk - 1) / kChanChunk,
-             [this](std::size_t chunk) { flow_demand_chunk(chunk); });
-}
-
-void Engine::delay_pre_chunk(std::size_t chunk) {
-  // Per-channel terms of update_delay_metric's edge aggregations, computed
-  // with the exact expressions the serial DP used inline; the DP then sums
-  // the precomputed terms in the identical (ascending channel id) order.
-  const std::size_t n = chan_.size();
-  const std::size_t begin = chunk * kChanChunk;
-  const std::size_t end = std::min(n, begin + kChanChunk);
-  for (std::size_t ci = begin; ci < end; ++ci) {
-    d_qexcess_[ci] = std::max(0.0, c_queue_[ci] - c_offered_[ci]);
-    const double w = c_delivered_[ci] + c_offered_[ci] + 1e-9;
-    d_weight_[ci] = w;
-    d_wlat_[ci] = w * network_.latency_ms(SiteId(chan_[ci].from_site),
-                                          SiteId(chan_[ci].to_site));
-    // Intra-site channels have no table row; read their capacity directly.
-    const std::int32_t link = chan_[ci].link;
-    const double capacity =
-        link >= 0 ? links_[link].capacity
-                  : network_.capacity(SiteId(chan_[ci].from_site),
-                                      SiteId(chan_[ci].to_site), now_);
-    d_linkeps_[ci] = events_per_sec_over(capacity, c_event_bytes_[ci]);
+  if (config_.use_fast_kernels) {
+    kernels::flow_demand_mbps(n, c_queue_.data(), c_event_bytes_.data(), dt,
+                              demand_scratch_.data());
+  } else {
+    kernels::flow_demand_mbps_scalar(n, c_queue_.data(),
+                                     c_event_bytes_.data(), dt,
+                                     demand_scratch_.data());
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (c_flow_[i] == nullptr) continue;
+    net::Network::set_stream_demand(*c_flow_[i], demand_scratch_[i]);
   }
 }
 
@@ -621,11 +558,7 @@ void Engine::update_delay_metric(double t) {
   // would see, assuming current rates persist. Sources contribute the age
   // of the backlog head (exact, from the cumulative curves); each hop adds
   // channel-queue drain time plus link latency; each stage adds its input-
-  // queue drain time. The per-channel terms (queue excess, latency weights,
-  // link drain bounds) are precomputed in parallel chunks; the DP itself --
-  // all the ordered reductions -- stays serial.
-  run_region((chan_.size() + kChanChunk - 1) / kChanChunk,
-             [this](std::size_t chunk) { delay_pre_chunk(chunk); });
+  // queue drain time.
   lat_scratch_.assign(num_stages_, 0.0);
   double sink_delay = 0.0;
   for (const std::size_t idx : topo_order_) {
@@ -646,10 +579,13 @@ void Engine::update_delay_metric(double t) {
                weighted_latency_ms = 0.0;
         for (std::uint32_t k = eb; k < ee; ++k) {
           const std::size_t ci = edge_ids_[k];
-          queue += d_qexcess_[ci];
+          queue += std::max(0.0, c_queue_[ci] - c_offered_[ci]);
           delivered += c_delivered_[ci];
-          weighted_latency_ms += d_wlat_[ci];
-          latency_weight += d_weight_[ci];
+          const double w = c_delivered_[ci] + c_offered_[ci] + 1e-9;
+          weighted_latency_ms +=
+              w * network_.latency_ms(SiteId(chan_[ci].from_site),
+                                      SiteId(chan_[ci].to_site));
+          latency_weight += w;
         }
         const double hop_latency_sec =
             latency_weight > 0.0 ? weighted_latency_ms / latency_weight / 1e3
@@ -663,7 +599,15 @@ void Engine::update_delay_metric(double t) {
         if (drain_rate < 1.0) {
           double link_eps = 0.0;
           for (std::uint32_t k = eb; k < ee; ++k) {
-            link_eps += d_linkeps_[edge_ids_[k]];
+            const std::size_t ci = edge_ids_[k];
+            // Intra-site channels have no table row; read their capacity
+            // directly.
+            const std::int32_t link = chan_[ci].link;
+            const double link_capacity =
+                link >= 0 ? links_[link].capacity
+                          : network_.capacity(SiteId(chan_[ci].from_site),
+                                              SiteId(chan_[ci].to_site), now_);
+            link_eps += events_per_sec_over(link_capacity, c_event_bytes_[ci]);
           }
           double capacity = 0.0;
           for (std::uint32_t sk = ss_off_[idx]; sk < ss_off_[idx + 1]; ++sk) {
@@ -702,45 +646,6 @@ void Engine::update_delay_metric(double t) {
   last_.delay_sec = sink_delay;
 }
 
-void Engine::phase_reset_chunk(std::size_t i) {
-  if (i < par_chan_chunks_) {
-    // Channel-state roll on one fixed slice. The kernels are elementwise
-    // (subrange-safe, see kernels.h), so chunked calls match one full-range
-    // call bit for bit.
-    const std::size_t n = chan_.size();
-    const std::size_t begin = i * kChanChunk;
-    const std::size_t len = std::min(n, begin + kChanChunk) - begin;
-    if (config_.use_fast_kernels) {
-      kernels::reset_channel_tick(
-          len, c_to_stage_.data() + begin, stage_suspended_.data(),
-          c_delivered_prev_.data() + begin, c_delivered_.data() + begin,
-          c_offered_.data() + begin);
-    } else {
-      kernels::reset_channel_tick_scalar(
-          len, c_to_stage_.data() + begin, stage_suspended_.data(),
-          c_delivered_prev_.data() + begin, c_delivered_.data() + begin,
-          c_offered_.data() + begin);
-    }
-    return;
-  }
-  // Group-capacity snapshot for one stage's row of the gid array. The dense
-  // row equals the legacy "fill zero + hosting-sites loop" exactly: a
-  // non-hosting group has tasks == 0, and 0 * eps * straggler is the same
-  // +0.0 the fill wrote (see kernels.h).
-  const std::size_t stage = i - par_chan_chunks_;
-  if (config_.use_fast_kernels) {
-    kernels::group_capacity_row(
-        num_sites_, g_tasks_.data() + stage * num_sites_,
-        stage_eps_per_slot_[stage], failed_sites_.data(),
-        straggler_factor_.data(), g_capacity_.data() + stage * num_sites_);
-  } else {
-    kernels::group_capacity_row_scalar(
-        num_sites_, g_tasks_.data() + stage * num_sites_,
-        stage_eps_per_slot_[stage], failed_sites_.data(),
-        straggler_factor_.data(), g_capacity_.data() + stage * num_sites_);
-  }
-}
-
 void Engine::tick(double t) {
   const double dt = config_.tick_sec;
   now_ = t;
@@ -766,11 +671,38 @@ void Engine::tick(double t) {
                                      stage_arrived_.data(),
                                      stage_backpressured_.data());
   }
-  // One region fuses the channel resets (fixed slices) with the per-stage
-  // capacity rows -- disjoint arrays, so the fusion is free parallelism.
-  par_chan_chunks_ = (chan_.size() + kChanChunk - 1) / kChanChunk;
-  run_region(par_chan_chunks_ + num_stages_,
-             [this](std::size_t i) { phase_reset_chunk(i); });
+  const std::size_t n_chan = chan_.size();
+  if (config_.use_fast_kernels) {
+    kernels::reset_channel_tick(n_chan, c_to_stage_.data(),
+                                stage_suspended_.data(),
+                                c_delivered_prev_.data(), c_delivered_.data(),
+                                c_offered_.data());
+  } else {
+    kernels::reset_channel_tick_scalar(n_chan, c_to_stage_.data(),
+                                       stage_suspended_.data(),
+                                       c_delivered_prev_.data(),
+                                       c_delivered_.data(), c_offered_.data());
+  }
+  // Group-capacity snapshot, one stage row of the gid array at a time. The
+  // dense row equals the legacy "fill zero + hosting-sites loop" exactly: a
+  // non-hosting group has tasks == 0, and 0 * eps * straggler is the same
+  // +0.0 the fill wrote (see kernels.h).
+  for (std::size_t stage = 0; stage < num_stages_; ++stage) {
+    const std::size_t row = stage * num_sites_;
+    if (config_.use_fast_kernels) {
+      kernels::group_capacity_row(num_sites_, g_tasks_.data() + row,
+                                  stage_eps_per_slot_[stage],
+                                  failed_sites_.data(),
+                                  straggler_factor_.data(),
+                                  g_capacity_.data() + row);
+    } else {
+      kernels::group_capacity_row_scalar(num_sites_, g_tasks_.data() + row,
+                                         stage_eps_per_slot_[stage],
+                                         failed_sites_.data(),
+                                         straggler_factor_.data(),
+                                         g_capacity_.data() + row);
+    }
+  }
   prev_delay_sec_ = last_.delay_sec;
   last_ = QueryTickMetrics{};
   links_ = network_.links(t).data();
@@ -778,10 +710,9 @@ void Engine::tick(double t) {
   if (config_.degrade) apply_degrade_drops(t);
 
   // Per-stage pass in topological order (stages are sequential: downstream
-  // consumes what upstream emitted this tick). Within a stage, the hosting
-  // sites are independent -- one region chunk per site -- and the cross-site
-  // reductions below recombine the per-site partials serially in the exact
-  // operand order the legacy per-object loops used.
+  // consumes what upstream emitted this tick). Within a stage, each hosting
+  // site is delivered and processed in turn, and the cross-site sums fold
+  // in the exact operand order the legacy per-object loops used.
   profile.next(obs::Phase::kEngineStage);
   for (const std::size_t idx : topo_order_) {
     // Sources generate regardless of suspension: the external stream does
@@ -800,27 +731,22 @@ void Engine::tick(double t) {
     }
     if (stage_suspended_[idx] != 0) continue;  // halted mid-transition
 
-    par_stage_ = idx;
-    const std::uint32_t sb = ss_off_[idx];
-    const std::uint32_t se = ss_off_[idx + 1];
-    run_region(se - sb, [this](std::size_t k) { stage_site_chunk(k); });
-
-    // Recombine (serial, legacy operand order; skipped sites contribute the
-    // exact +0.0 the legacy loop's `continue` never added -- x += 0.0 is the
-    // identity for these non-negative accumulators).
     const double sel = stage_selectivity_[idx];
     double total_processed = 0.0;
-    for (std::uint32_t sk = sb; sk < se; ++sk) {
-      const std::size_t gi = gid(idx, ss_ids_[sk]);
+    for (std::uint32_t sk = ss_off_[idx]; sk < ss_off_[idx + 1]; ++sk) {
+      const std::size_t site = ss_ids_[sk];
+      bool backpressured = false;
+      const double proc = deliver_and_process(idx, site, &backpressured);
       // Arrived: each in-channel's delivered count equals its moved amount
-      // (delivered was reset to zero this tick and written once, by the
-      // receiving site's chunk).
+      // (delivered was reset to zero this tick and written once, by this
+      // site's deliver step).
+      const std::size_t gi = gid(idx, site);
       for (std::uint32_t k = in_off_[gi]; k < in_off_[gi + 1]; ++k) {
         stage_arrived_[idx] += c_delivered_[in_ids_[k]] / dt;
       }
-      total_processed += proc_scratch_[gi];
-      stage_emitted_[idx] += proc_scratch_[gi] * sel / dt;
-      if (bp_scratch_[gi] != 0) stage_backpressured_[idx] = 1;
+      total_processed += proc;
+      stage_emitted_[idx] += proc * sel / dt;
+      if (backpressured) stage_backpressured_[idx] = 1;
     }
     stage_processed_[idx] += total_processed / dt;
     if (stage_is_source_[idx] != 0) {

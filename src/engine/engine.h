@@ -36,7 +36,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -56,10 +55,6 @@ class MetricsRegistry;
 class Profiler;
 class TraceEmitter;
 }  // namespace wasp::obs
-
-namespace wasp::exec {
-class ThreadPool;
-}  // namespace wasp::exec
 
 namespace wasp::engine {
 
@@ -102,14 +97,6 @@ struct EngineConfig {
   // observer by contract: it reads the steady clock and nothing else, so it
   // cannot move a byte of any trace or metric (DESIGN.md §13).
   obs::Profiler* profiler = nullptr;
-  // Optional intra-run executor (non-owning; may be null = serial). When set,
-  // the per-tick element sweeps and per-site update loops are chunked across
-  // the pool. Chunk boundaries are fixed by the data layout -- never by the
-  // worker count -- and every cross-chunk floating-point reduction is
-  // recombined serially in the legacy operand order, so results (and traces)
-  // are bit-identical to the serial engine for any thread count
-  // (DESIGN.md §11).
-  exec::ThreadPool* pool = nullptr;
 };
 
 class Engine {
@@ -451,37 +438,14 @@ class Engine {
   // stale: see Network::links), indexed by chan_[ci].link.
   const net::Link* links_ = nullptr;
 
-  // --- intra-run parallelism (DESIGN.md §11) -------------------------------
-  //
-  // Chunk boundaries are functions of the data layout alone (fixed channel
-  // strides, one chunk per hosting site), never of the worker count, and all
-  // cross-chunk FP reductions are recombined serially in legacy operand
-  // order -- so any thread count, including the no-pool serial path, yields
-  // bit-identical state and traces.
-  //
-  // Runs fn(0..n-1) on the pool, or inline (in index order) without one.
-  void run_region(std::size_t n, const std::function<void(std::size_t)>& fn);
-  // Region chunk bodies. Each is shared-nothing across its index domain;
-  // `par_stage_` carries the stage index into per-site chunks so the region
-  // lambdas capture only `this` (no allocation per region).
-  void phase_reset_chunk(std::size_t i);   // channel resets + capacity rows
-  void stage_site_chunk(std::size_t k);    // fused deliver+process, one site
-  void flow_demand_chunk(std::size_t chunk);  // demand kernel + flow writes
-  void delay_pre_chunk(std::size_t chunk); // per-channel delay-metric terms
-  std::size_t par_chan_chunks_ = 0;  // channel-chunk count of this tick
-  std::size_t par_stage_ = 0;        // stage whose sites are being processed
-
-  // Per-gid / per-channel scratch written by parallel chunks and recombined
-  // serially (see tick()). want_by_channel_ replaces the dense want_scratch_
-  // indexing inside deliver: per-channel slots make the deliver chunks
-  // shared-nothing.
+  // Fused deliver+process of one hosting site of a stage; returns the
+  // events it processed and sets *backpressured when an outbound channel
+  // capped them. tick() folds the cross-site sums in site order.
+  double deliver_and_process(std::size_t stage_idx, std::size_t s,
+                             bool* backpressured);
+  // Per-channel deliver shares (scratch, written and read within one
+  // receiving group's deliver step).
   std::vector<double> want_by_channel_;
-  std::vector<double> proc_scratch_;  // per-gid processed events this tick
-  std::vector<char> bp_scratch_;      // per-gid backpressure flag
-  std::vector<double> d_qexcess_;     // per-channel max(0, queue - offered)
-  std::vector<double> d_weight_;      // per-channel latency weight
-  std::vector<double> d_wlat_;        // per-channel weighted latency (ms)
-  std::vector<double> d_linkeps_;     // per-channel link drain bound (eps)
 
   // Cached metric handles (stable node addresses inside the registry);
   // resolved once so the per-tick emit path performs no name lookups.

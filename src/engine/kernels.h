@@ -15,10 +15,9 @@
 //
 // All kernels are subrange-safe: because every kernel is elementwise, calling
 // it on [begin, end) slices of the same arrays (any partition, any order)
-// produces bit-identical results to one full-range call. That is what lets
-// the engine chunk these sweeps across a thread pool (DESIGN.md §11) without
-// touching the determinism contract; engine_kernels_test.cc fuzzes the
-// chunked-vs-whole property too.
+// produces bit-identical results to one full-range call (the engine applies
+// group_capacity_row one stage row at a time); engine_kernels_test.cc fuzzes
+// the chunked-vs-whole property too.
 #pragma once
 
 #include <cstddef>

@@ -11,7 +11,7 @@
 #include <sstream>
 
 #include "common/rng.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel.h"
 #include "faults/fault_injector.h"
 #include "faults/fault_schedule.h"
 #include "net/bandwidth_model.h"
@@ -358,7 +358,7 @@ std::optional<std::vector<RunSpec>> expand_grid(const GridSpec& grid,
 }
 
 RunResult run_one(const RunSpec& spec, const std::string& trace_path,
-                  int threads, bool profile, int profile_every) {
+                  bool profile, int profile_every) {
   RunResult result;
   result.spec = spec;
   const auto wall_start = std::chrono::steady_clock::now();
@@ -453,7 +453,6 @@ RunResult run_one(const RunSpec& spec, const std::string& trace_path,
   config.slo_sec = spec.slo_sec;
   config.scheduler.alpha = spec.alpha;
   config.seed = spec.seed;
-  config.threads = std::max(1, threads);
   if (topo_spec.kind == net::TopologySpec::Kind::kEdgeHierarchy) {
     // Planet-scale cells re-plan per failure domain (DESIGN.md §14) so a
     // localized failure never re-solves the whole placement.
@@ -589,8 +588,8 @@ std::vector<RunResult> run_sweep(const std::vector<RunSpec>& cells,
       trace_path =
           opts.trace_dir + "/run_" + std::to_string(cells[i].index) + ".jsonl";
     }
-    results[i] = run_one(cells[i], trace_path, opts.threads, opts.profile,
-                         opts.profile_every);
+    results[i] =
+        run_one(cells[i], trace_path, opts.profile, opts.profile_every);
     if (opts.on_cell_done) {
       std::lock_guard<std::mutex> lock(progress_mu);
       opts.on_cell_done(results[i]);

@@ -146,11 +146,6 @@ struct RunResult {
 
 struct SweepOptions {
   int jobs = 1;
-  // Intra-run worker threads per cell (SystemConfig::threads). Results are
-  // bit-identical for any value; total concurrency is jobs * threads, so
-  // callers should keep that product within the machine's cores (wasp_sweep
-  // warns and clamps).
-  int threads = 1;
   // When non-empty, each run writes its private observability trace to
   // "<trace_dir>/run_<index>.jsonl" (the directory must exist).
   std::string trace_dir;
@@ -166,12 +161,10 @@ struct SweepOptions {
 };
 
 // Executes one cell in a fresh, self-contained context. `trace_path` (may be
-// empty) is the run's private JSONL trace destination; `threads` is the
-// cell's intra-run worker count (SystemConfig::threads); `profile` /
+// empty) is the run's private JSONL trace destination; `profile` /
 // `profile_every` mirror SweepOptions.
 RunResult run_one(const RunSpec& spec, const std::string& trace_path = {},
-                  int threads = 1, bool profile = false,
-                  int profile_every = 60);
+                  bool profile = false, int profile_every = 60);
 
 // Executes all cells across opts.jobs workers and returns results ordered by
 // cell index regardless of completion order.

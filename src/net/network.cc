@@ -5,16 +5,10 @@
 #include <limits>
 
 #include "common/units.h"
-#include "exec/thread_pool.h"
 #include "obs/trace.h"
 
 namespace wasp::net {
 namespace {
-
-// Link-table rows per parallel-region chunk of the fill. A layout
-// constant (never a function of the worker count): chunk boundaries must be
-// identical for --threads 1 and --threads N.
-constexpr std::size_t kLinkChunk = 16;
 
 // Lower bound of `to` in one source site's sorted (to site, row) list.
 template <typename Rows>
@@ -189,40 +183,25 @@ void Network::waterfill(std::vector<Flow*>& active_scratch, double capacity) {
 
 void Network::fill_links(double t, bool solve) {
   if (flows_dirty_) regroup();
-  // Rows are independent, so the fill runs on the pool in fixed chunks of
-  // row ids. Each row is computed by one chunk with its flows in list order:
-  // every allocation and sum is bit-identical for any thread count.
-  const std::size_t n_links = links_.size();
-  const std::size_t n_chunks = (n_links + kLinkChunk - 1) / kLinkChunk;
-  if (wf_scratch_.size() < n_chunks) wf_scratch_.resize(n_chunks);
-  const auto fill_chunk = [&](std::size_t c) {
-    std::vector<Flow*>& active = wf_scratch_[c];
-    const std::size_t end = std::min(n_links, (c + 1) * kLinkChunk);
-    for (std::size_t li = c * kLinkChunk; li < end; ++li) {
-      Link& link = links_[li];
-      if (link.flows.empty()) continue;  // free row
-      link.capacity = capacity(link.from, link.to, t);
-      if (solve) {
-        active.clear();
-        for (Flow* f : link.flows) {
-          if (f->kind == FlowKind::kBulk && f->done) {
-            f->allocated_mbps = 0.0;
-          } else {
-            active.push_back(f);
-          }
+  // Rows are independent; each is computed with its flows in list order.
+  for (Link& link : links_) {
+    if (link.flows.empty()) continue;  // free row
+    link.capacity = capacity(link.from, link.to, t);
+    if (solve) {
+      wf_active_.clear();
+      for (Flow* f : link.flows) {
+        if (f->kind == FlowKind::kBulk && f->done) {
+          f->allocated_mbps = 0.0;
+        } else {
+          wf_active_.push_back(f);
         }
-        if (!active.empty()) waterfill(active, link.capacity);
       }
-      double allocated = 0.0;
-      for (const Flow* f : link.flows) allocated += f->allocated_mbps;
-      link.allocated = allocated;
-      link.headroom = std::max(0.0, link.capacity - allocated);
+      if (!wf_active_.empty()) waterfill(wf_active_, link.capacity);
     }
-  };
-  if (pool_ != nullptr) {
-    pool_->parallel_for(n_chunks, fill_chunk);
-  } else {
-    for (std::size_t c = 0; c < n_chunks; ++c) fill_chunk(c);
+    double allocated = 0.0;
+    for (const Flow* f : link.flows) allocated += f->allocated_mbps;
+    link.allocated = allocated;
+    link.headroom = std::max(0.0, link.capacity - allocated);
   }
   links_t_ = t;
   links_stale_ = false;

@@ -25,10 +25,6 @@ namespace wasp::obs {
 class TraceEmitter;
 }  // namespace wasp::obs
 
-namespace wasp::exec {
-class ThreadPool;
-}  // namespace wasp::exec
-
 namespace wasp::net {
 
 enum class FlowKind {
@@ -144,19 +140,10 @@ class Network {
   void set_trace(obs::TraceEmitter* trace) { trace_ = trace; }
   [[nodiscard]] obs::TraceEmitter* trace() const { return trace_; }
 
-  // Optional intra-run executor (non-owning; null = serial). The link-table
-  // fill chunks its rows across the pool: each row (link) is computed by
-  // exactly one chunk with the same flow order either way, so allocations
-  // are bit-identical for any thread count. Traced runs share this fill;
-  // their link_alloc events are emitted serially after it.
-  void set_pool(exec::ThreadPool* pool) { pool_ = pool; }
-  [[nodiscard]] exec::ThreadPool* pool() const { return pool_; }
-
  private:
   // Max-min fair share of `capacity` among `active`: one link's unfinished
-  // flows in list order, in caller-owned scratch (parallel chunks pass
-  // distinct vectors) that the fill consumes. Bulk flows are treated as
-  // having unbounded demand.
+  // flows in list order, in scratch that the fill consumes. Bulk flows are
+  // treated as having unbounded demand.
   static void waterfill(std::vector<Flow*>& active, double capacity);
 
   // Link-table row of from -> to for a new flow, allocating one (the last
@@ -182,10 +169,9 @@ class Network {
   // O(links) entries, updated only by flow add/remove.
   std::vector<std::vector<std::pair<std::int64_t, std::int32_t>>> rows_from_;
   std::vector<Flow*> local_flows_;  // from == to
-  // Per-chunk waterfill working sets of the table fill (persist across
-  // steps; no allocation after warm-up). One slot per row chunk.
-  std::vector<std::vector<Flow*>> wf_scratch_;
-  exec::ThreadPool* pool_ = nullptr;
+  // Waterfill working set of the table fill (persists across steps; no
+  // allocation after warm-up).
+  std::vector<Flow*> wf_active_;
   bool flows_dirty_ = true;   // row flow lists need regroup()
   bool links_stale_ = true;   // row numbers need fill_links()
   double links_t_ = 0.0;      // time of the last fill

@@ -16,9 +16,7 @@
 // its elapsed time minus the time attributed to phases opened inside it,
 // and `total_ns` is the full inclusive time. The stack lives on the
 // profiler object and is only ever touched by the thread driving the
-// simulation (the controller); worker-thread observability goes through the
-// lock-free counters in exec::ThreadPool instead and is merged serially at
-// tick barriers (see WaspSystem::emit_profile_events).
+// simulation (a run's tick is single-threaded).
 //
 // Pure-observer contract: the profiler reads the steady clock and writes
 // its own accumulators -- nothing else. It must never touch the Rng, the

@@ -740,7 +740,6 @@ ProfileSummary aggregate_profile(const TraceFile& file) {
   // Latest cumulative snapshot per phase within the current segment; folded
   // into the totals at every seq restart (and once at EOF).
   std::vector<ProfilePhase> segment;
-  PoolProfile segment_pool;
 
   auto snapshot_of = [&segment](const std::string& name) -> ProfilePhase& {
     for (ProfilePhase& phase : segment) {
@@ -751,7 +750,7 @@ ProfileSummary aggregate_profile(const TraceFile& file) {
     return segment.back();
   };
 
-  auto fold_segment = [&out, &segment, &segment_pool] {
+  auto fold_segment = [&out, &segment] {
     for (const ProfilePhase& snap : segment) {
       ProfilePhase* total = nullptr;
       for (ProfilePhase& phase : out.phases) {
@@ -768,20 +767,6 @@ ProfileSummary aggregate_profile(const TraceFile& file) {
       total->self_us += snap.self_us;
     }
     segment.clear();
-    if (segment_pool.present) {
-      out.pool.present = true;
-      out.pool.ticks += segment_pool.ticks;
-      out.pool.threads = std::max(out.pool.threads, segment_pool.threads);
-      out.pool.tasks += segment_pool.tasks;
-      out.pool.chunks += segment_pool.chunks;
-      out.pool.regions += segment_pool.regions;
-      out.pool.busy_us += segment_pool.busy_us;
-      out.pool.busy_min_us += segment_pool.busy_min_us;
-      out.pool.busy_max_us += segment_pool.busy_max_us;
-      out.pool.queue_peak =
-          std::max(out.pool.queue_peak, segment_pool.queue_peak);
-      segment_pool = PoolProfile{};
-    }
   };
 
   bool have_seq = false;
@@ -791,24 +776,11 @@ ProfileSummary aggregate_profile(const TraceFile& file) {
     if (event.type != "profile") continue;
     ++out.profile_events;
     const std::string name(event.str("phase"));
-    if (name == "pool") {
-      segment_pool.present = true;
-      segment_pool.ticks = static_cast<std::uint64_t>(event.num("ticks"));
-      segment_pool.threads = event.num("threads");
-      segment_pool.tasks = event.num("tasks");
-      segment_pool.chunks = event.num("chunks");
-      segment_pool.regions = event.num("regions");
-      segment_pool.busy_us = event.num("wall_busy_us");
-      segment_pool.busy_min_us = event.num("wall_busy_min_us");
-      segment_pool.busy_max_us = event.num("wall_busy_max_us");
-      segment_pool.queue_peak = event.num("wall_queue_peak");
-    } else {
-      ProfilePhase& snap = snapshot_of(name);
-      snap.ticks = static_cast<std::uint64_t>(event.num("ticks"));
-      snap.calls = static_cast<std::uint64_t>(event.num("calls"));
-      snap.total_us = event.num("wall_total_us");
-      snap.self_us = event.num("wall_self_us");
-    }
+    ProfilePhase& snap = snapshot_of(name);
+    snap.ticks = static_cast<std::uint64_t>(event.num("ticks"));
+    snap.calls = static_cast<std::uint64_t>(event.num("calls"));
+    snap.total_us = event.num("wall_total_us");
+    snap.self_us = event.num("wall_self_us");
   }
   fold_segment();
 
@@ -841,9 +813,7 @@ void export_chrome_profile_counters(const TraceFile& file, std::ostream& out) {
     have_seq = true;
     if (event.type != "profile") continue;
     const std::string name(event.str("phase"));
-    const bool is_pool = name == "pool";
-    const double cumulative =
-        is_pool ? event.num("wall_busy_us") : event.num("wall_self_us");
+    const double cumulative = event.num("wall_self_us");
     const double ticks = event.num("ticks");
     Prev& p = prev[name];
     const double d_ticks = ticks - p.ticks;
@@ -855,8 +825,7 @@ void export_chrome_profile_counters(const TraceFile& file, std::ostream& out) {
     if (!first_record) line += ",\n";
     first_record = false;
     line += "{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"name\":";
-    json_escape_to(line,
-                   is_pool ? "pool busy us/tick" : name + " self us/tick");
+    json_escape_to(line, name + " self us/tick");
     line += ",\"cat\":\"profile\",\"ts\":";
     append_json_number(line, event.t * 1e6);
     line += ",\"args\":{\"value\":";

@@ -119,25 +119,10 @@ struct ProfilePhase {
   double self_us = 0.0;   // total minus nested phases
 };
 
-// Thread-pool counters from the pseudo-phase "pool" profile events.
-struct PoolProfile {
-  bool present = false;
-  std::uint64_t ticks = 0;
-  double threads = 0.0;  // max across segments (controller + workers)
-  double tasks = 0.0;
-  double chunks = 0.0;
-  double regions = 0.0;
-  double busy_us = 0.0;
-  double busy_min_us = 0.0;  // least-loaded slot (last snapshot folded)
-  double busy_max_us = 0.0;  // most-loaded slot
-  double queue_peak = 0.0;   // max across segments
-};
-
 struct ProfileSummary {
   // Phases in registry (presentation) order; names the registry does not
   // know sort after them alphabetically, so newer traces stay readable.
   std::vector<ProfilePhase> phases;
-  PoolProfile pool;
   std::size_t profile_events = 0;
   std::uint64_t ticks = 0;  // max phase ticks (summed across segments)
   [[nodiscard]] bool empty() const { return profile_events == 0; }

@@ -20,7 +20,7 @@
 // Determinism: every decision here is a pure function of (engine state,
 // monitor view, schedule); slots and flows are iterated in stable vector
 // order and the ILP is deterministic, so same seed + same fault schedule
-// gives byte-identical traces at any thread count.
+// gives byte-identical traces.
 #pragma once
 
 #include <cstddef>

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/log.h"
-#include "exec/thread_pool.h"
 #include "physical/physical_plan.h"
 
 namespace wasp::runtime {
@@ -86,6 +85,9 @@ WaspSystem::WaspSystem(net::Network& network, workload::QuerySpec spec,
       scheduler_(config.scheduler),
       planner_(),
       backoff_rng_(config.seed ^ 0xB0FF) {
+  check(config_.threads == 1, "WaspSystem: threads must be 1 (a run's tick ",
+        "is serial; parallelize across runs with --jobs), got ",
+        config_.threads);
   recovery_abandoned_.assign(network_.topology().num_sites(), false);
   // Map the adaptation mode onto the policy switches (§8.5 baselines).
   adapt::AdaptationPolicy::Config pc = config_.policy;
@@ -148,18 +150,6 @@ WaspSystem::WaspSystem(net::Network& network, workload::QuerySpec spec,
   config_.engine.trace = &trace_;
   config_.engine.metrics = &metrics_;
   config_.engine.profiler = &profiler_;
-  // Intra-run parallelism: one persistent pool shared by the engine's tick
-  // regions and the network's per-link waterfills. The pool has threads-1
-  // workers; the calling thread participates in every region, so total
-  // concurrency is config_.threads.
-  if (config_.threads > 1) {
-    pool_ = std::make_unique<exec::ThreadPool>(config_.threads - 1);
-    config_.engine.pool = pool_.get();
-    network_.set_pool(pool_.get());
-    // Busy-time clock reads in the pool are profile-gated; the event counts
-    // themselves are always on (relaxed increments).
-    if (config_.profile) pool_->set_stats_timing(true);
-  }
 
   // Hot-standby replication: the manager plans replica placements in the
   // background and keeps them warm with delta syncs; the promotion decision
@@ -204,10 +194,6 @@ WaspSystem::~WaspSystem() {
   // The Network may be shared across systems (runtime::Cluster); only detach
   // the trace hook if it still points at this system's emitter.
   if (network_.trace() == &trace_) network_.set_trace(nullptr);
-  // Detach the pool before it is destroyed: the Network outlives this system.
-  if (pool_ != nullptr && network_.pool() == pool_.get()) {
-    network_.set_pool(nullptr);
-  }
 }
 
 void WaspSystem::deploy(workload::QuerySpec spec) {
@@ -1171,28 +1157,6 @@ void WaspSystem::emit_profile_events() {
         .num("wall_total_us", static_cast<double>(accum.total_ns) / 1000.0)
         .num("wall_self_us", static_cast<double>(accum.self_ns) / 1000.0);
   }
-  // One pool line (threads > 1 only): totals are deterministic, busy time
-  // and the queue high-water mark are scheduling facts and stay wall_*.
-  if (pool_ != nullptr) {
-    const exec::ThreadPool::PoolStats stats = pool_->stats();
-    std::uint64_t busy_min = 0;
-    std::uint64_t busy_max = 0;
-    for (const auto& t : stats.per_thread) {
-      busy_min = busy_min == 0 ? t.busy_ns : std::min(busy_min, t.busy_ns);
-      busy_max = std::max(busy_max, t.busy_ns);
-    }
-    trace_.event("profile")
-        .str("phase", "pool")
-        .num("ticks", static_cast<double>(tick_count_))
-        .num("threads", static_cast<double>(pool_->workers() + 1))
-        .num("tasks", static_cast<double>(stats.tasks))
-        .num("chunks", static_cast<double>(stats.chunks))
-        .num("regions", static_cast<double>(stats.regions))
-        .num("wall_busy_us", static_cast<double>(stats.busy_ns) / 1000.0)
-        .num("wall_busy_min_us", static_cast<double>(busy_min) / 1000.0)
-        .num("wall_busy_max_us", static_cast<double>(busy_max) / 1000.0)
-        .num("wall_queue_peak", static_cast<double>(stats.queue_peak));
-  }
 }
 
 void WaspSystem::export_profiler_metrics() {
@@ -1208,18 +1172,6 @@ void WaspSystem::export_profiler_metrics() {
         .set(static_cast<double>(accum.total_ns) / 1000.0);
     metrics_.gauge(base + ".wall_self_us")
         .set(static_cast<double>(accum.self_ns) / 1000.0);
-  }
-  if (pool_ != nullptr) {
-    const exec::ThreadPool::PoolStats stats = pool_->stats();
-    metrics_.gauge("pool.threads")
-        .set(static_cast<double>(pool_->workers() + 1));
-    metrics_.gauge("pool.tasks").set(static_cast<double>(stats.tasks));
-    metrics_.gauge("pool.chunks").set(static_cast<double>(stats.chunks));
-    metrics_.gauge("pool.regions").set(static_cast<double>(stats.regions));
-    metrics_.gauge("pool.wall_busy_us")
-        .set(static_cast<double>(stats.busy_ns) / 1000.0);
-    metrics_.gauge("pool.wall_queue_peak")
-        .set(static_cast<double>(stats.queue_peak));
   }
 }
 

@@ -129,12 +129,10 @@ struct SystemConfig {
   // Hybrid promise lossless processing.
   bool shed_on_recovery_stall = false;
   std::uint64_t seed = 42;
-  // Intra-run parallelism: worker threads sharing one run's tick work
-  // (engine kernel sweeps, per-site update loops, per-link waterfills).
-  // 1 = serial (no pool). Results and traces are bit-identical for any
-  // value (DESIGN.md §11); this trades cores for wall-clock only. Compose
-  // with sweep-level --jobs carefully: jobs x threads should not exceed the
-  // machine's cores.
+  // Must be 1: a run's tick is always serial (DESIGN.md §11) and any other
+  // value fails check() in the constructor. Kept only because the frozen
+  // repository benchmark harness assigns it; the next change to that
+  // benchmark drops the assignment and this field with it.
   int threads = 1;
   // Multi-tenant slot accounting: when set, reports the computing slots
   // per site used by *other* queries sharing the deployment; this query's
@@ -151,7 +149,7 @@ struct SystemConfig {
   std::optional<SloSpec> slo;
   // Tick-phase profiler (wasp_sim --profile, DESIGN.md §13): times every
   // step phase (waterfill, engine sub-phases, monitor extraction, control
-  // plane, solver calls, standby syncs) plus the thread pool, and emits
+  // plane, solver calls, standby syncs) and emits
   // cumulative "profile" events into the trace every `profile_every` ticks
   // (plus once at shutdown). All timing fields are wall_*-prefixed, so
   // `wasp_trace diff` and the golden byte-identity harness ignore them; the
@@ -213,8 +211,8 @@ class WaspSystem {
   }
   // The tick-phase profiler (disabled unless SystemConfig::profile).
   [[nodiscard]] const obs::Profiler& profiler() const { return profiler_; }
-  // Copies the profiler's phase totals and the thread pool's counters into
-  // the MetricsRegistry (profiler.* / pool.* entries). Deliberately NOT done
+  // Copies the profiler's phase totals into the MetricsRegistry
+  // (profiler.* entries). Deliberately NOT done
   // during the run: the registry's content must be bit-identical with
   // profiling on or off until the caller explicitly asks for the export
   // (wasp_sim does, right before --metrics-out). No-op when profiling is
@@ -297,9 +295,9 @@ class WaspSystem {
                        std::int64_t op, int attempt, double backoff_sec,
                        const std::string& detail);
   void watch_stabilization();
-  // Emits cumulative "profile" events (one per active phase, plus one pool
-  // line) into the trace. Called every profile_every ticks and once from the
-  // destructor so the final totals always reach the trace.
+  // Emits cumulative "profile" events (one per active phase) into the
+  // trace. Called every profile_every ticks and once from the destructor so
+  // the final totals always reach the trace.
   void emit_profile_events();
   [[nodiscard]] std::vector<int> free_slots() const;
 
@@ -321,10 +319,6 @@ class WaspSystem {
   // the engine and scheduler hold raw pointers into it.
   obs::Profiler profiler_;
   adapt::GlobalMetricMonitor metric_monitor_;
-  // Intra-run worker pool (config_.threads > 1 only). Declared before
-  // policy_/engine_ so it is destroyed after them: the engine holds a raw
-  // pointer and might, in principle, touch it until destruction.
-  std::unique_ptr<exec::ThreadPool> pool_;
   std::unique_ptr<adapt::AdaptationPolicy> policy_;
   std::unique_ptr<engine::Engine> engine_;
   // Null unless config.standby_replicas > 0.

@@ -150,8 +150,8 @@ TEST(KernelEquivalence, GroupCapacityRowMatchesScalarBitwise) {
 // ---------------------------------------------------------------------------
 // Chunked execution: every kernel is elementwise, so running it on an
 // arbitrary partition of [0, n) through offset pointers must be bit-identical
-// to one whole-range call. This is the property the engine's parallel tick
-// phases rely on (fixed chunk boundaries, one chunk per worker claim).
+// to one whole-range call (the engine applies the capacity-row kernel one
+// stage row of the gid array at a time).
 // ---------------------------------------------------------------------------
 
 // Random chunk boundaries: 0 = b0 < b1 < ... < bk = n, adversarially uneven.

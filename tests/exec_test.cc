@@ -1,24 +1,22 @@
 // src/exec: the deterministic parallel execution substrate.
 //
-// Covers the three layers the sweep harness stacks: the thread pool's
-// lifecycle (start / drain / destruct, including under task exceptions),
-// grid parsing + row-major expansion + index-based seed forking, and the
-// headline determinism contract -- a 16-cell grid merged at --jobs 1 and
-// --jobs 8 must be byte-identical (DESIGN.md §9).
+// Covers the three layers the sweep harness stacks: parallel_for's fork/join
+// contract (every index runs once, lowest-index exception wins), grid
+// parsing + row-major expansion + index-based seed forking, and the headline
+// determinism contract -- a 16-cell grid merged at --jobs 1 and --jobs 8
+// must be byte-identical (DESIGN.md §9).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <fstream>
-#include <iostream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "exec/parallel.h"
 #include "exec/sweep.h"
-#include "exec/thread_pool.h"
 #include "obs/trace_analysis.h"
 
 namespace wasp::exec {
@@ -39,76 +37,6 @@ TEST(ForkSeed, DistinctAcrossAWideGrid) {
     for (std::uint64_t i = 0; i < 1000; ++i) seeds.insert(fork_seed(base, i));
   }
   EXPECT_EQ(seeds.size(), 3000u);
-}
-
-// ---- ThreadPool --------------------------------------------------------
-
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  std::atomic<int> count{0};
-  ThreadPool pool(4);
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, SingleWorkerPreservesFifoOrder) {
-  std::vector<int> order;
-  ThreadPool pool(1);
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&order, i] { order.push_back(i); });
-  }
-  pool.wait_idle();
-  ASSERT_EQ(order.size(), 50u);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 200; ++i) {
-      pool.submit([&count] { count.fetch_add(1); });
-    }
-    // No wait_idle: the destructor must finish the queue before joining.
-  }
-  EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPool, WaitIdleRethrowsFirstTaskException) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([] { throw std::runtime_error("boom"); });
-  for (int i = 0; i < 10; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The pool survived the exception: later tasks ran and new ones still run.
-  EXPECT_EQ(count.load(), 10);
-  pool.submit([&count] { count.fetch_add(1); });
-  pool.wait_idle();  // no pending exception now
-  EXPECT_EQ(count.load(), 11);
-}
-
-TEST(ThreadPool, DestructsCleanlyWithUnretrievedException) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("never retrieved"); });
-    pool.submit([&count] { count.fetch_add(1); });
-    // Destructor must swallow the stored exception, not terminate.
-  }
-  EXPECT_EQ(count.load(), 1);
-}
-
-TEST(ThreadPool, WorkerCountClampedToAtLeastOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.workers(), 1);
-  std::atomic<int> count{0};
-  pool.submit([&count] { count.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
 }
 
 // ---- parallel_for ------------------------------------------------------
@@ -146,96 +74,6 @@ TEST(ParallelFor, InlineWhenSerialOrEmpty) {
   parallel_for(1, 4, [&slots](std::size_t i) { slots[i] = 1; });
   EXPECT_EQ(slots, std::vector<int>({1, 1, 1, 1}));
   parallel_for(8, 0, [](std::size_t) { FAIL(); });
-}
-
-// ---- ThreadPool::parallel_for (fork/join region API) -------------------
-
-TEST(ThreadPoolRegion, RunsEveryIndexExactlyOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(97);
-  pool.parallel_for(hits.size(),
-                    [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-// Regression for the straggler race: a worker that lost the claim race for
-// the tail of region G could, under a bare fetch_add counter, consume an
-// index of region G+1 and validate it against region G's size -- running the
-// new chunk function out of range when sizes differ. Hammering back-to-back
-// regions of *varying* sizes (the engine-tick pattern: one region per phase,
-// per stage) reproduced it readily before the packed gen+index claim word.
-TEST(ThreadPoolRegion, BackToBackRegionsOfVaryingSizesStayExact) {
-  ThreadPool pool(4);
-  const std::size_t sizes[] = {1, 64, 2, 17, 3, 33, 5, 2};
-  std::vector<std::atomic<int>> hits(64);
-  for (int round = 0; round < 2000; ++round) {
-    const std::size_t n = sizes[round % (sizeof(sizes) / sizeof(sizes[0]))];
-    for (auto& h : hits) h.store(0);
-    pool.parallel_for(n, [&hits, n](std::size_t i) {
-      ASSERT_LT(i, n);  // an out-of-range index is exactly the old bug
-      hits[i].fetch_add(1);
-    });
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-      ASSERT_EQ(hits[i].load(), i < n ? 1 : 0)
-          << "round " << round << " index " << i;
-    }
-  }
-}
-
-TEST(ThreadPoolRegion, RethrowsLowestIndexExceptionAndStaysUsable) {
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  try {
-    pool.parallel_for(10, [&ran](std::size_t i) {
-      ran.fetch_add(1);
-      if (i == 7) throw std::runtime_error("seven");
-      if (i == 3) throw std::runtime_error("three");
-    });
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "three");
-  }
-  EXPECT_EQ(ran.load(), 10);
-  // The pool survives a throwing region: the next region is clean.
-  std::vector<std::atomic<int>> hits(16);
-  pool.parallel_for(hits.size(),
-                    [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
-}
-
-TEST(ThreadPoolRegion, ComposesWithTheTaskQueue) {
-  ThreadPool pool(2);
-  std::atomic<int> tasks{0};
-  for (int i = 0; i < 20; ++i) pool.submit([&tasks] { tasks.fetch_add(1); });
-  std::vector<std::atomic<int>> hits(31);
-  pool.parallel_for(hits.size(),
-                    [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(tasks.load(), 20);
-  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
-}
-
-// Satellite regression: an exception captured from a submitted task and
-// never retrieved via wait_idle() must not vanish silently when the pool is
-// destroyed -- the destructor logs it at Error level.
-TEST(ThreadPool, DestructorLogsUnretrievedTaskError) {
-  std::ostringstream captured;
-  std::streambuf* old = std::cerr.rdbuf(captured.rdbuf());
-  {
-    ThreadPool pool(2);
-    std::atomic<bool> done{false};
-    pool.submit([] { throw std::runtime_error("lost-task-error"); });
-    pool.submit([&done] { done.store(true); });
-    while (!done.load()) std::this_thread::yield();
-    // No wait_idle(): destruction must surface the stored exception.
-  }
-  std::cerr.rdbuf(old);
-  EXPECT_NE(captured.str().find("unretrieved"), std::string::npos)
-      << "destructor output: " << captured.str();
-  EXPECT_NE(captured.str().find("lost-task-error"), std::string::npos)
-      << "destructor output: " << captured.str();
 }
 
 // ---- GridSpec parsing --------------------------------------------------

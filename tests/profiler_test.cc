@@ -2,8 +2,7 @@
 // fake clock (Scope nesting, Chain segment attribution, depth-overflow
 // balance), the static phase registry round-trip, and the pure-observer
 // contract -- same-seed runs must produce bitwise-identical metrics and
-// (profile events aside) byte-identical traces with profiling on or off at
-// any thread count.
+// (profile events aside) byte-identical traces with profiling on or off.
 #include "obs/profiler.h"
 
 #include <gtest/gtest.h>
@@ -252,7 +251,7 @@ std::string normalized_trace(const std::string& path) {
 TEST(ProfilerTest, ProfilingIsAPureObserver) {
   using runtime::SystemConfig;
   using runtime::WaspSystem;
-  auto run = [](bool profile, int threads, const std::string& tag) {
+  auto run = [](bool profile, const std::string& tag) {
     Testbed bed(13);
     auto spec = workload::make_topk_topics(bed.east, bed.west, bed.sink);
     workload::SteppedWorkload pattern;
@@ -264,7 +263,6 @@ TEST(ProfilerTest, ProfilingIsAPureObserver) {
     pattern.add_step(100.0, 2.0);
     SystemConfig config;
     config.seed = 13;
-    config.threads = threads;
     config.profile = profile;
     config.profile_every = 40;  // several mid-run snapshots plus the flush
     const std::string path =
@@ -281,27 +279,21 @@ TEST(ProfilerTest, ProfilingIsAPureObserver) {
                            normalized_trace(path));
   };
 
-  const auto baseline = run(false, 1, "off_t1");
+  const auto baseline = run(false, "off");
   EXPECT_NE(std::get<2>(baseline).find("\"type\":\"tick\""),
             std::string::npos);
-  const std::vector<std::pair<bool, int>> variants = {
-      {true, 1}, {true, 8}, {false, 8}};
-  for (const auto& [profile, threads] : variants) {
-    const std::string tag = (profile ? std::string("on_t") : "off_t") +
-                            std::to_string(threads);
-    const auto variant = run(profile, threads, tag);
-    EXPECT_EQ(std::get<1>(baseline), std::get<1>(variant)) << tag;
-    EXPECT_EQ(std::get<2>(baseline), std::get<2>(variant))
-        << tag << ": normalized traces differ";
-    const auto& mb = std::get<0>(baseline);
-    const auto& mv = std::get<0>(variant);
-    ASSERT_EQ(mb.size(), mv.size()) << tag;
-    for (std::size_t i = 0; i < mb.size(); ++i) {
-      EXPECT_EQ(mb[i].first, mv[i].first) << tag;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(mb[i].second),
-                std::bit_cast<std::uint64_t>(mv[i].second))
-          << tag << " metric " << mb[i].first;
-    }
+  const auto profiled = run(true, "on");
+  EXPECT_EQ(std::get<1>(baseline), std::get<1>(profiled));
+  EXPECT_EQ(std::get<2>(baseline), std::get<2>(profiled))
+      << "normalized traces differ";
+  const auto& mb = std::get<0>(baseline);
+  const auto& mp = std::get<0>(profiled);
+  ASSERT_EQ(mb.size(), mp.size());
+  for (std::size_t i = 0; i < mb.size(); ++i) {
+    EXPECT_EQ(mb[i].first, mp[i].first);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(mb[i].second),
+              std::bit_cast<std::uint64_t>(mp[i].second))
+        << "metric " << mb[i].first;
   }
 }
 

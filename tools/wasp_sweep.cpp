@@ -17,15 +17,18 @@
 //
 // Run `wasp_sweep --help` for the full flag list.
 #include <chrono>
+#include <cstdint>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "common/table.h"
+#include "exec/parallel.h"
 #include "exec/sweep.h"
-#include "exec/thread_pool.h"
 
 namespace {
 
@@ -34,8 +37,7 @@ using namespace wasp;
 struct Options {
   exec::GridSpec grid;
   exec::SweepDefaults defaults;
-  int jobs = exec::ThreadPool::hardware_workers();
-  int threads = 1;  // intra-run workers per cell
+  int jobs = exec::hardware_workers();
   std::string out = "sweep.jsonl";
   std::string trace_dir;
   std::string bench_out;
@@ -66,14 +68,9 @@ void print_usage() {
                                                   separates axis values
                             cells = cartesian product, last axis fastest
   --sweep-file=FILE         read axes from FILE (one per line, # comments)
-  --jobs=N                  worker threads (default: hardware cores; results
-                            are byte-identical for any N)
-  --threads=N               intra-run worker threads per cell (default 1;
-                            results are byte-identical for any N). Total
-                            concurrency is jobs*threads; when that exceeds
-                            the machine's cores, threads is clamped with a
-                            warning -- prefer raising --jobs while there are
-                            more cells than cores
+  --jobs=N                  runs executed in parallel, one thread each
+                            (N >= 1, default: hardware cores; results are
+                            byte-identical for any N)
   --out=FILE                merged JSONL (default sweep.jsonl; "-" = stdout)
   --trace-dir=DIR           per-run observability traces DIR/run_<cell>.jsonl
   --profile                 always-on phase profiler: each traced cell emits
@@ -108,54 +105,61 @@ bool parse_args(int argc, char** argv, Options* opts) {
     };
     std::string error;
     if (arg.rfind("--", 0) == 0) in_grid = false;
-    if (arg == "--help" || arg == "-h") {
-      print_usage();
-      std::exit(0);
-    } else if (arg == "--grid") {
-      in_grid = true;
-    } else if (in_grid) {
-      if (!opts->grid.parse_arg(arg, &error)) {
-        std::cerr << error << "\n";
+    try {
+      if (arg == "--help" || arg == "-h") {
+        print_usage();
+        std::exit(0);
+      } else if (arg == "--grid") {
+        in_grid = true;
+      } else if (in_grid) {
+        if (!opts->grid.parse_arg(arg, &error)) {
+          std::cerr << error << "\n";
+          return false;
+        }
+      } else if (auto v = value_of("--sweep-file")) {
+        if (!opts->grid.parse_file(*v, &error)) {
+          std::cerr << error << "\n";
+          return false;
+        }
+      } else if (auto v = value_of("--jobs")) {
+        opts->jobs = parse_number<int>(*v);
+        if (opts->jobs < 1) {
+          std::cerr << "--jobs must be >= 1\n";
+          return false;
+        }
+      } else if (auto v = value_of("--out")) {
+        opts->out = *v;
+      } else if (auto v = value_of("--trace-dir")) {
+        opts->trace_dir = *v;
+      } else if (auto v = value_of("--bench-out")) {
+        opts->bench_out = *v;
+      } else if (auto v = value_of("--seed")) {
+        opts->defaults.base_seed = parse_number<std::uint64_t>(*v);
+      } else if (auto v = value_of("--mode")) {
+        opts->defaults.mode = *v;
+      } else if (auto v = value_of("--query")) {
+        opts->defaults.query = *v;
+      } else if (auto v = value_of("--duration")) {
+        opts->defaults.duration_sec = parse_number<double>(*v);
+      } else if (auto v = value_of("--rate")) {
+        opts->defaults.rate_eps = parse_number<double>(*v);
+      } else if (auto v = value_of("--alpha")) {
+        opts->defaults.alpha = parse_number<double>(*v);
+      } else if (auto v = value_of("--slo")) {
+        opts->defaults.slo_sec = parse_number<double>(*v);
+      } else if (auto v = value_of("--profile-every")) {
+        opts->profile_every = std::max(1, parse_number<int>(*v));
+        opts->profile = true;
+      } else if (arg == "--profile") {
+        opts->profile = true;
+      } else if (arg == "--quiet") {
+        opts->quiet = true;
+      } else {
+        std::cerr << "unknown argument: " << arg << " (see --help)\n";
         return false;
       }
-    } else if (auto v = value_of("--sweep-file")) {
-      if (!opts->grid.parse_file(*v, &error)) {
-        std::cerr << error << "\n";
-        return false;
-      }
-    } else if (auto v = value_of("--jobs")) {
-      opts->jobs = std::max(1, std::atoi(v->c_str()));
-    } else if (auto v = value_of("--threads")) {
-      opts->threads = std::max(1, std::atoi(v->c_str()));
-    } else if (auto v = value_of("--out")) {
-      opts->out = *v;
-    } else if (auto v = value_of("--trace-dir")) {
-      opts->trace_dir = *v;
-    } else if (auto v = value_of("--bench-out")) {
-      opts->bench_out = *v;
-    } else if (auto v = value_of("--seed")) {
-      opts->defaults.base_seed = std::stoull(*v);
-    } else if (auto v = value_of("--mode")) {
-      opts->defaults.mode = *v;
-    } else if (auto v = value_of("--query")) {
-      opts->defaults.query = *v;
-    } else if (auto v = value_of("--duration")) {
-      opts->defaults.duration_sec = std::stod(*v);
-    } else if (auto v = value_of("--rate")) {
-      opts->defaults.rate_eps = std::stod(*v);
-    } else if (auto v = value_of("--alpha")) {
-      opts->defaults.alpha = std::stod(*v);
-    } else if (auto v = value_of("--slo")) {
-      opts->defaults.slo_sec = std::stod(*v);
-    } else if (auto v = value_of("--profile-every")) {
-      opts->profile_every = std::max(1, std::atoi(v->c_str()));
-      opts->profile = true;
-    } else if (arg == "--profile") {
-      opts->profile = true;
-    } else if (arg == "--quiet") {
-      opts->quiet = true;
-    } else {
-      std::cerr << "unknown argument: " << arg << " (see --help)\n";
+    } catch (const std::exception&) {
+      std::cerr << "invalid value in " << arg << "\n";
       return false;
     }
   }
@@ -200,7 +204,6 @@ std::vector<exec::RunResult> run_grid(const std::vector<exec::RunSpec>& cells,
                                       double* wall_ms) {
   exec::SweepOptions sweep_opts;
   sweep_opts.jobs = jobs;
-  sweep_opts.threads = opts.threads;
   sweep_opts.trace_dir = opts.trace_dir;
   sweep_opts.profile = opts.profile;
   sweep_opts.profile_every = opts.profile_every;
@@ -240,19 +243,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Oversubscription guard: jobs * threads above the core count just makes
-  // every run slower (the intra-run regions spin-wait). Results do not
-  // depend on either knob, so clamping threads is always safe.
-  const int cores = exec::ThreadPool::hardware_workers();
-  if (opts.threads > 1 && opts.jobs * opts.threads > cores) {
-    const int clamped = std::max(1, cores / opts.jobs);
-    std::cerr << "wasp_sweep: --jobs=" << opts.jobs << " x --threads="
-              << opts.threads << " oversubscribes " << cores
-              << (cores == 1 ? " core" : " cores") << "; clamping --threads to "
-              << clamped << " (results are identical either way)\n";
-    opts.threads = clamped;
-  }
-
   double wall_ms = 0.0;
   const auto results = run_grid(*cells, opts, opts.jobs, &wall_ms);
   const std::string merged =
@@ -285,8 +275,7 @@ int main(int argc, char** argv) {
           << "  \"grid\": \"" << opts.grid.to_string() << "\",\n"
           << "  \"cells\": " << cells->size() << ",\n"
           << "  \"jobs\": " << opts.jobs << ",\n"
-          << "  \"threads\": " << opts.threads << ",\n"
-          << "  \"hardware_cores\": " << exec::ThreadPool::hardware_workers()
+          << "  \"hardware_cores\": " << exec::hardware_workers()
           << ",\n"
           << "  \"serial_wall_ms\": " << serial_wall_ms << ",\n"
           << "  \"parallel_wall_ms\": " << wall_ms << ",\n"

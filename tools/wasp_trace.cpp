@@ -51,7 +51,7 @@ int usage(const char* argv0) {
                "                           phase-profiler breakdown from"
                " `profile` events (--profile runs):\n"
                "                           top phases by self time, per-tick"
-               " means, thread-pool stats;\n"
+               " means;\n"
                "                           --diff=B compares two runs,"
                " --chrome exports counter tracks\n"
                "  export --chrome FILE [-o OUT]\n"
@@ -308,18 +308,7 @@ void print_profile_json(const wasp::obs::ProfileSummary& profile,
                  static_cast<unsigned long long>(p.calls), p.total_us,
                  p.self_us, i + 1 < profile.phases.size() ? "," : "");
   }
-  std::fprintf(out, "  ]%s\n", profile.pool.present ? "," : "");
-  if (profile.pool.present) {
-    const auto& pool = profile.pool;
-    std::fprintf(out,
-                 "  \"pool\": {\"threads\": %.0f, \"tasks\": %.0f, "
-                 "\"chunks\": %.0f, \"regions\": %.0f, \"busy_us\": %.3f, "
-                 "\"busy_min_us\": %.3f, \"busy_max_us\": %.3f, "
-                 "\"queue_peak\": %.0f}\n",
-                 pool.threads, pool.tasks, pool.chunks, pool.regions,
-                 pool.busy_us, pool.busy_min_us, pool.busy_max_us,
-                 pool.queue_peak);
-  }
+  std::fprintf(out, "  ]\n");
   std::fprintf(out, "}\n");
 }
 
@@ -442,23 +431,6 @@ int cmd_profile(const std::vector<std::string>& args) {
       std::printf(" %6.1f%%", 100.0 * p->self_us / denom_us);
     }
     std::printf("\n");
-  }
-  if (profile.pool.present) {
-    const auto& pool = profile.pool;
-    std::printf(
-        "pool: threads=%.0f tasks=%.0f chunks=%.0f regions=%.0f "
-        "busy_ms=%.2f busy_min_ms=%.2f busy_max_ms=%.2f queue_peak=%.0f\n",
-        pool.threads, pool.tasks, pool.chunks, pool.regions,
-        pool.busy_us / 1e3, pool.busy_min_us / 1e3, pool.busy_max_us / 1e3,
-        pool.queue_peak);
-    // Worker utilization explains the BENCH_e2e t4 pool-overhead row: busy
-    // time across workers over (workers x measured tick time).
-    if (denom_us > 0.0 && pool.threads > 1.0) {
-      std::printf("pool: worker utilization %.1f%% of %d worker(s) over "
-                  "measured ticks\n",
-                  100.0 * pool.busy_us / ((pool.threads - 1.0) * denom_us),
-                  static_cast<int>(pool.threads - 1.0));
-    }
   }
   return 0;
 }
