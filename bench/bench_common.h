@@ -21,6 +21,7 @@
 #include "net/network.h"
 #include "net/topology.h"
 #include "net/topology_spec.h"
+#include "runtime/scenario.h"
 #include "runtime/wasp_system.h"
 #include "workload/patterns.h"
 #include "workload/queries.h"
@@ -33,31 +34,21 @@ inline constexpr std::uint64_t kSeed = 7;
 // by default; `--topology=SPEC` (default_topology_spec()) swaps in a
 // generated topology -- for the paper spec, build() is exactly
 // make_paper_testbed, so defaults are byte-identical to the historical
-// testbed. Roles stay type-based: edge sites feed sources (split east/west),
-// the first DC hosts the sink.
-struct Testbed {
+// testbed. Roles come from runtime::roles_of: edge sites feed sources
+// (split east/west), the first DC hosts the sink.
+struct Testbed : runtime::Roles {
   explicit Testbed(std::shared_ptr<const net::BandwidthModel> model = nullptr,
                    std::uint64_t seed = kSeed)
       : rng(seed),
         topology(default_topology_spec().build(rng)),
         network(topology, model ? model
                                 : std::make_shared<net::ConstantBandwidth>()) {
-    for (const auto& site : topology.sites()) {
-      if (site.type == net::SiteType::kEdge) {
-        (east.size() <= west.size() ? east : west).push_back(site.id);
-        edges.push_back(site.id);
-      } else {
-        dcs.push_back(site.id);
-        if (!sink.valid()) sink = site.id;
-      }
-    }
+    static_cast<runtime::Roles&>(*this) = runtime::roles_of(topology);
   }
 
   Rng rng;
   net::Topology topology;
   net::Network network;
-  std::vector<SiteId> east, west, edges, dcs;
-  SiteId sink;
 };
 
 enum class Query { kYsb, kTopk, kEventsOfInterest };
@@ -75,15 +66,10 @@ inline const char* query_name(Query q) {
 }
 
 inline workload::QuerySpec make_query(const Testbed& bed, Query q) {
-  switch (q) {
-    case Query::kYsb:
-      return workload::make_ysb_campaign(bed.edges, bed.sink);
-    case Query::kTopk:
-      return workload::make_topk_topics(bed.east, bed.west, bed.sink);
-    case Query::kEventsOfInterest:
-      return workload::make_events_of_interest(bed.edges, bed.sink);
-  }
-  return workload::make_topk_topics(bed.east, bed.west, bed.sink);
+  const char* name = q == Query::kYsb    ? "ysb"
+                     : q == Query::kTopk ? "topk"
+                                         : "interest";
+  return *runtime::make_query(name, bed);
 }
 
 // Uniform per-site source rates (the §8.4 setup distributes the YSB evenly
@@ -91,11 +77,7 @@ inline workload::QuerySpec make_query(const Testbed& bed, Query q) {
 inline workload::SteppedWorkload uniform_rates(const workload::QuerySpec& spec,
                                                double eps_per_site) {
   workload::SteppedWorkload pattern;
-  for (OperatorId src : spec.sources) {
-    for (SiteId s : spec.plan.op(src).pinned_sites) {
-      pattern.set_base_rate(src, s, eps_per_site);
-    }
-  }
+  runtime::set_base_rates(&pattern, spec, eps_per_site);
   return pattern;
 }
 

@@ -26,10 +26,8 @@
 // `opts.flush()` before exiting.
 #pragma once
 
-#include <algorithm>
 #include <cctype>
 #include <cstdlib>
-#include <exception>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -42,6 +40,7 @@
 #include "net/topology_spec.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
+#include "runtime/flags.h"
 
 namespace wasp::bench {
 
@@ -59,107 +58,46 @@ struct BenchOptions {
   std::shared_ptr<obs::FileSink> sink;  // null unless --trace-out was given
   std::string trace_out;
   std::string metrics_out;  // empty unless --metrics was given
-  std::string topology;     // canonical spec; empty = paper testbed
   int jobs = 1;             // worker threads for the driver's independent runs
-  bool profile = false;     // always-on phase profiler (DESIGN.md §13)
-  int profile_every = 60;   // profile-event cadence in ticks
+  // Only the --topology and --profile rows of the scenario table apply.
+  runtime::Scenario scenario;
 
   // Copies the profiler knobs into a run's SystemConfig; drivers call this
   // on every config they build so `--profile` covers all of a driver's runs.
   template <typename SystemConfigT>
   void apply_profile(SystemConfigT* config) const {
-    config->profile = profile;
-    config->profile_every = profile_every;
-  }
-
-  // The integer after `prefix` in `arg`; exits 2 when it is not one.
-  static int number_in(const std::string& arg, const std::string& prefix) {
-    try {
-      return parse_number<int>(arg.substr(prefix.size()));
-    } catch (const std::exception&) {
-      std::cerr << "invalid value in " << arg << "\n";
-      std::exit(2);
-    }
+    config->profile = scenario.profile;
+    config->profile_every = scenario.profile_every;
   }
 
   // Parses argv; exits 2 on an unknown flag or a malformed value, 1 on an
   // unopenable file.
   static BenchOptions parse(int argc, char** argv) {
     BenchOptions opts;
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      const std::string trace_prefix = "--trace-out=";
-      const std::string metrics_prefix = "--metrics=";
-      const std::string jobs_prefix = "--jobs=";
-      const std::string profile_every_prefix = "--profile-every=";
-      const std::string topology_prefix = "--topology=";
-      if (arg == "--help" || arg == "-h") {
-        std::cout << argv[0]
-                  << " [--jobs=N] [--profile] [--trace-out=FILE] "
-                     "[--metrics=FILE]\n"
-                     "  --jobs=N          fan independent runs across N "
-                     "worker threads\n"
-                     "                    (results identical for any N)\n"
-                     "  --trace-out=FILE  write the observability trace "
-                     "(JSONL) to FILE;\n"
-                     "                    with --jobs>1 each traced run gets "
-                     "FILE with its\n"
-                     "                    label inserted before the "
-                     "extension\n"
-                     "  --metrics=FILE    write per-run metrics snapshots "
-                     "(JSONL) to FILE\n"
-                     "  --profile         always-on phase profiler: emit "
-                     "periodic `profile`\n"
-                     "                    events into the trace (pure "
-                     "observer; results\n"
-                     "                    stay bit-identical)\n"
-                     "  --profile-every=N profile-event cadence in ticks "
-                     "(default 60;\n"
-                     "                    implies --profile)\n"
-                     "  --topology=SPEC   run on a generated topology instead "
-                     "of the 16-site\n"
-                     "                    paper testbed: paper | "
-                     "uniform:sites=,slots=,bw=,lat=\n"
-                     "                    | edge:sites=,regions=,core=,... "
-                     "(DESIGN.md §14).\n"
-                     "                    Drivers that pin sources to edge "
-                     "sites need a spec\n"
-                     "                    with edge sites (paper or edge:)\n";
-        std::exit(0);
-      } else if (arg.rfind(trace_prefix, 0) == 0) {
-        opts.trace_out = arg.substr(trace_prefix.size());
-      } else if (arg.rfind(metrics_prefix, 0) == 0) {
-        opts.metrics_out = arg.substr(metrics_prefix.size());
-      } else if (arg.rfind(jobs_prefix, 0) == 0) {
-        opts.jobs = number_in(arg, jobs_prefix);
-        if (opts.jobs < 1) {
-          std::cerr << "--jobs must be >= 1\n";
-          std::exit(2);
-        }
-      } else if (arg.rfind(profile_every_prefix, 0) == 0) {
-        opts.profile_every =
-            std::max(1, number_in(arg, profile_every_prefix));
-        opts.profile = true;
-      } else if (arg == "--profile") {
-        opts.profile = true;
-      } else if (arg.rfind(topology_prefix, 0) == 0) {
-        std::string error;
-        const auto spec =
-            net::TopologySpec::parse(arg.substr(topology_prefix.size()), &error);
-        if (!spec.has_value()) {
-          std::cerr << "bad --topology spec: " << error << "\n";
-          std::exit(2);
-        }
-        default_topology_spec() = *spec;
-        opts.topology = spec->to_string();
-      } else {
-        std::cerr << "unknown argument: " << arg
-                  << " (supported: --jobs=N --profile "
-                     "--profile-every=N --trace-out=FILE --metrics=FILE "
-                     "--topology=SPEC)\n";
-        std::exit(2);
-      }
-    }
+    runtime::FlagTable flags(std::string(argv[0]) +
+                             " -- reproduces one paper figure or table");
+    flags.add({"--jobs", "N",
+               "fan independent runs across N worker threads\n"
+               "(N >= 1; results identical for any N)",
+               [&opts](const std::string& v) {
+                 opts.jobs = parse_number<int>(v);
+                 if (opts.jobs < 1) throw std::invalid_argument("must be >= 1");
+               }});
+    flags.add({"--trace-out", "FILE",
+               "write the observability trace (JSONL) to FILE;\n"
+               "with --jobs>1 each traced run gets FILE with\n"
+               "its label inserted before the extension",
+               [&opts](const std::string& v) { opts.trace_out = v; }});
+    flags.add({"--metrics", "FILE",
+               "write per-run metrics snapshots (JSONL) to FILE",
+               [&opts](const std::string& v) { opts.metrics_out = v; }});
+    flags.add_scenario(&opts.scenario,
+                       {"topology", "profile", "profile-every"});
+    if (const auto rc = flags.parse(argc, argv)) std::exit(*rc);
+    default_topology_spec() =
+        *net::TopologySpec::parse(opts.scenario.topology.empty()
+                                      ? "paper"
+                                      : opts.scenario.topology);
     // The shared sink exists only in the single-file --jobs=1 layout; at
     // --jobs>1 every traced run opens its own per-label file in sink_for()
     // (which also reports unopenable paths), so opening FILE here would

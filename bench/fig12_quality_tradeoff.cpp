@@ -39,11 +39,7 @@ QualityRun run_mode(wasp::runtime::AdaptationMode mode,
   workload::RandomWalkWorkload::Config wl_cfg;
   wl_cfg.horizon_sec = 1800.0;
   workload::RandomWalkWorkload pattern(wl_cfg, wl_rng);
-  for (OperatorId src : spec.sources) {
-    for (SiteId s : spec.plan.op(src).pinned_sites) {
-      pattern.set_base_rate(src, s, 10'000.0);
-    }
-  }
+  runtime::set_base_rates(&pattern, spec, 10'000.0);
 
   runtime::SystemConfig config;
   opts.apply_profile(&config);

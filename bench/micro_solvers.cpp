@@ -24,6 +24,7 @@
 #include "physical/physical_plan.h"
 #include "physical/scheduler.h"
 #include "query/planner.h"
+#include "runtime/scenario.h"
 #include "state/migration.h"
 #include "workload/queries.h"
 
@@ -286,17 +287,8 @@ struct FigScaleSuite {
   FigScaleSuite() {
     Rng rng(7);
     topo = net::Topology::make_paper_testbed(rng);
-    std::vector<SiteId> east, west, edges;
-    SiteId sink;
-    for (const auto& site : topo.sites()) {
-      if (site.type == net::SiteType::kEdge) {
-        (east.size() <= west.size() ? east : west).push_back(site.id);
-        edges.push_back(site.id);
-      } else if (!sink.valid()) {
-        sink = site.id;
-      }
-    }
-    const std::vector<SiteId> four(edges.begin(), edges.begin() + 4);
+    const runtime::Roles r = runtime::roles_of(topo);
+    const std::vector<SiteId> four(r.edges.begin(), r.edges.begin() + 4);
     auto add = [&](workload::QuerySpec spec, double eps) {
       std::unordered_map<OperatorId, double> src;
       for (OperatorId s : spec.sources) src[s] = eps;
@@ -304,10 +296,10 @@ struct FigScaleSuite {
       c.rates = c.spec.plan.estimate_rates(src);
       cases.push_back(std::move(c));
     };
-    add(workload::make_ysb_campaign(edges, sink), 5'000.0);
-    add(workload::make_topk_topics(east, west, sink), 3'000.0);
-    add(workload::make_events_of_interest(edges, sink), 8'000.0);
-    add(workload::make_four_source_join(four, sink, true), 2'000.0);
+    add(workload::make_ysb_campaign(r.edges, r.sink), 5'000.0);
+    add(workload::make_topk_topics(r.east, r.west, r.sink), 3'000.0);
+    add(workload::make_events_of_interest(r.edges, r.sink), 8'000.0);
+    add(workload::make_four_source_join(four, r.sink, true), 2'000.0);
   }
 
   // One decision epoch, mirroring the adaptation policy's probe pattern:
@@ -475,16 +467,8 @@ void run_engine_tick_topk(benchmark::State& state, const net::Topology& topo,
 void BM_EngineTickTopk(benchmark::State& state) {
   Rng rng(7);
   net::Topology topo = net::Topology::make_paper_testbed(rng);
-  std::vector<SiteId> east, west;
-  SiteId sink;
-  for (const auto& site : topo.sites()) {
-    if (site.type == net::SiteType::kEdge) {
-      (east.size() <= west.size() ? east : west).push_back(site.id);
-    } else if (!sink.valid()) {
-      sink = site.id;
-    }
-  }
-  run_engine_tick_topk(state, topo, east, west, sink);
+  const runtime::Roles roles = runtime::roles_of(topo);
+  run_engine_tick_topk(state, topo, roles.east, roles.west, roles.sink);
 }
 BENCHMARK(BM_EngineTickTopk);
 

@@ -20,6 +20,7 @@
 #include "net/bandwidth_model.h"
 #include "net/network.h"
 #include "net/topology.h"
+#include "runtime/scenario.h"
 #include "runtime/wasp_system.h"
 #include "workload/patterns.h"
 #include "workload/queries.h"
@@ -32,17 +33,10 @@ int main() {
   net::Topology topo = net::Topology::make_paper_testbed(rng);
   net::Network network(topo, std::make_shared<net::ConstantBandwidth>());
 
-  std::vector<SiteId> east, west;
-  SiteId sink;
-  for (const auto& site : topo.sites()) {
-    if (site.type == net::SiteType::kEdge) {
-      (east.size() <= west.size() ? east : west).push_back(site.id);
-    } else if (!sink.valid()) {
-      sink = site.id;
-    }
-  }
+  const runtime::Roles roles = runtime::roles_of(topo);
 
-  workload::QuerySpec query = workload::make_topk_topics(east, west, sink);
+  workload::QuerySpec query =
+      workload::make_topk_topics(roles.east, roles.west, roles.sink);
 
   // A "day" compressed into 30 simulated minutes so the example runs in
   // moments; base (trough) total of 60k ev/s split with Zipf skew.

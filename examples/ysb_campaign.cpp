@@ -17,6 +17,7 @@
 #include "net/bandwidth_model.h"
 #include "net/network.h"
 #include "net/topology.h"
+#include "runtime/scenario.h"
 #include "runtime/wasp_system.h"
 #include "workload/patterns.h"
 #include "workload/queries.h"
@@ -37,23 +38,11 @@ Outcome run(wasp::runtime::AdaptationMode mode) {
   net::Topology topo = net::Topology::make_paper_testbed(rng);
   net::Network network(topo, std::make_shared<net::ConstantBandwidth>());
 
-  std::vector<SiteId> edges;
-  SiteId sink;
-  for (const auto& site : topo.sites()) {
-    if (site.type == net::SiteType::kEdge) {
-      edges.push_back(site.id);
-    } else if (!sink.valid()) {
-      sink = site.id;
-    }
-  }
-
-  workload::QuerySpec query = workload::make_ysb_campaign(edges, sink);
+  const runtime::Roles roles = runtime::roles_of(topo);
+  workload::QuerySpec query =
+      workload::make_ysb_campaign(roles.edges, roles.sink);
   workload::SteppedWorkload pattern;
-  for (OperatorId src : query.sources) {
-    for (SiteId s : query.plan.op(src).pinned_sites) {
-      pattern.set_base_rate(src, s, 10'000.0);
-    }
-  }
+  runtime::set_base_rates(&pattern, query, 10'000.0);
   pattern.add_step(200.0, 2.5);  // sustained overload
   pattern.add_step(700.0, 1.0);
 

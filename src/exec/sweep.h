@@ -15,10 +15,11 @@
 //   2. A cell's seed comes from its `seeds` axis value if the grid has one,
 //      otherwise it is forked from the grid's base seed by *cell index*
 //      (exec::fork_seed) -- never from scheduling order.
-//   3. Every run is shared-nothing: it builds its own Rng, Topology, Network,
-//      workload pattern, WaspSystem (hence its own Recorder, MetricsRegistry,
-//      TraceEmitter) and, when tracing, its own private FileSink. Nothing in
-//      a run reads wall-clock time into its results.
+//   3. Every run is shared-nothing: runtime::ScenarioRun::build gives it
+//      its own Rng, Topology, Network, workload pattern, WaspSystem (hence
+//      its own Recorder, MetricsRegistry, TraceEmitter) and, when tracing,
+//      its own private FileSink. Nothing in a run reads wall-clock time
+//      into its results.
 //   4. The merge walks results by cell index, so the merged JSONL (and the
 //      summary table derived from it) is byte-identical for --jobs 1 and
 //      --jobs N. Wall-clock timings are reported separately (bench JSON /
@@ -38,11 +39,15 @@
 #include <vector>
 
 #include "obs/trace.h"
+#include "runtime/scenario.h"
 
 namespace wasp::exec {
 
 // One grid axis: an ordered list of string values for a named parameter.
-// Supported names (aliases in parentheses):
+// Each value is applied through the scenario flag row of the axis
+// (runtime/flags.h), so it means exactly what that flag means. Supported
+// names (the row's name, where it differs, in parentheses; it is also an
+// alias of the axis):
 //   seeds (seed)            integer list/range; the per-cell master seed
 //   policy (mode)           wasp|static|no-adapt|degrade|re-assign|scale|
 //                           re-plan|hybrid ("static" is an alias of no-adapt)
@@ -79,36 +84,22 @@ struct GridSpec {
   [[nodiscard]] std::string to_string() const;
 };
 
-// Grid-independent defaults applied to every cell an axis does not override.
+// Grid-independent defaults: the scenario every cell starts from before
+// its axes apply, and the base seed forked per cell when there is no seeds
+// axis.
 struct SweepDefaults {
-  std::uint64_t base_seed = 42;  // forked per cell when there is no seeds axis
-  std::string mode = "wasp";
-  std::string query = "topk";
-  double duration_sec = 900.0;
-  double rate_eps = 10'000.0;
-  double alpha = 0.8;
-  double slo_sec = 10.0;
+  runtime::Scenario scenario;
+  std::uint64_t base_seed = 42;
 };
 
 // One fully-resolved cell.
 struct RunSpec {
   std::size_t index = 0;
-  std::uint64_t seed = 0;
   bool seed_forked = false;  // true when seed came from fork_seed, not an axis
-  std::string mode = "wasp";
-  std::string query = "topk";
-  double duration_sec = 900.0;
-  double rate_eps = 10'000.0;
-  double alpha = 0.8;
-  double slo_sec = 10.0;
-  std::string bandwidth_trace;  // empty = constant; "live" = random walk
-  std::string fault_schedule;   // empty = none
-  std::string topology;         // canonical TopologySpec; empty = paper
-  std::vector<std::pair<double, double>> workload_steps;
-  std::vector<std::pair<double, double>> bandwidth_steps;
   // The (axis, value) pairs that produced this cell, in axis order -- echoed
   // into the result line so every cell is self-describing.
   std::vector<std::pair<std::string, std::string>> labels;
+  runtime::Scenario scenario;
 };
 
 // Expands the grid against the defaults into cells ordered row-major (last
@@ -149,11 +140,6 @@ struct SweepOptions {
   // When non-empty, each run writes its private observability trace to
   // "<trace_dir>/run_<index>.jsonl" (the directory must exist).
   std::string trace_dir;
-  // Always-on phase profiler (DESIGN.md §13): each cell emits periodic
-  // `profile` events into its private trace. Pure observer -- the merged
-  // sweep stream and every cell's results are bit-identical either way.
-  bool profile = false;
-  int profile_every = 60;
   // Optional progress hook, invoked from worker threads under an internal
   // mutex as each cell finishes (completion order, i.e. nondeterministic --
   // for stderr progress only, never for results).
@@ -161,10 +147,8 @@ struct SweepOptions {
 };
 
 // Executes one cell in a fresh, self-contained context. `trace_path` (may be
-// empty) is the run's private JSONL trace destination; `profile` /
-// `profile_every` mirror SweepOptions.
-RunResult run_one(const RunSpec& spec, const std::string& trace_path = {},
-                  bool profile = false, int profile_every = 60);
+// empty) is the run's private JSONL trace destination.
+RunResult run_one(const RunSpec& spec, const std::string& trace_path = {});
 
 // Executes all cells across opts.jobs workers and returns results ordered by
 // cell index regardless of completion order.

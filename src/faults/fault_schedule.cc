@@ -1,9 +1,10 @@
 #include "faults/fault_schedule.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
+
+#include "common/parse.h"
 
 namespace wasp::faults {
 namespace {
@@ -20,14 +21,6 @@ struct KeyValues {
   }
 };
 
-bool parse_double(const std::string& s, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
 bool parse_site(const KeyValues& kvs, const std::string& key, SiteId* out,
                 std::string* error) {
   const std::string* raw = kvs.find(key);
@@ -36,7 +29,7 @@ bool parse_site(const KeyValues& kvs, const std::string& key, SiteId* out,
     return false;
   }
   double v = 0.0;
-  if (!parse_double(*raw, &v) || v < 0.0 || v != static_cast<int>(v)) {
+  if (!try_parse_number(*raw, &v) || v < 0.0 || v != static_cast<int>(v)) {
     *error = "bad site id in " + key + "=" + *raw;
     return false;
   }
@@ -51,7 +44,7 @@ bool parse_num(const KeyValues& kvs, const std::string& key, bool required,
     if (required) *error = "missing " + key + "=";
     return !required;
   }
-  if (!parse_double(*raw, out)) {
+  if (!try_parse_number(*raw, out)) {
     *error = "bad number in " + key + "=" + *raw;
     return false;
   }
@@ -105,7 +98,7 @@ bool FaultSchedule::parse(std::istream& in, FaultSchedule* out,
     if (!(tokens >> time_tok)) continue;  // blank / comment-only line
 
     FaultEvent event;
-    if (!parse_double(time_tok, &event.t) || event.t < 0.0) {
+    if (!try_parse_number(time_tok, &event.t) || event.t < 0.0) {
       return fail("bad time '" + time_tok + "'");
     }
     std::string kind_tok;
@@ -194,6 +187,22 @@ void FaultSchedule::add(FaultEvent event) {
   std::stable_sort(
       events_.begin(), events_.end(),
       [](const FaultEvent& a, const FaultEvent& b) { return a.t < b.t; });
+}
+
+bool FaultSchedule::fits(int num_sites, std::string* error) const {
+  for (const FaultEvent& event : events_) {
+    for (SiteId site : {event.site, event.from, event.to}) {
+      if (site.value() >= num_sites) {
+        std::ostringstream out;
+        out << "the " << to_string(event.kind) << " at t=" << event.t
+            << " names site " << site.value() << ", but the topology has "
+            << num_sites << " sites";
+        *error = out.str();
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 }  // namespace wasp::faults

@@ -66,6 +66,11 @@ class FaultSchedule {
 
   void add(FaultEvent event);
 
+  // False, with a diagnostic in *error, when an event names a site id a
+  // topology of `num_sites` sites does not have (a schedule written for a
+  // larger topology); the injector would index past its link tables.
+  [[nodiscard]] bool fits(int num_sites, std::string* error) const;
+
   [[nodiscard]] const std::vector<FaultEvent>& events() const {
     return events_;
   }

@@ -1,29 +1,12 @@
 #include "net/topology_spec.h"
 
-#include <charconv>
 #include <sstream>
 #include <vector>
 
+#include "common/parse.h"
+
 namespace wasp::net {
 namespace {
-
-bool parse_int(const std::string& text, int* out) {
-  const char* first = text.data();
-  const char* last = first + text.size();
-  auto [ptr, ec] = std::from_chars(first, last, *out);
-  return ec == std::errc{} && ptr == last;
-}
-
-bool parse_double(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  try {
-    std::size_t pos = 0;
-    *out = std::stod(text, &pos);
-    return pos == text.size();
-  } catch (...) {
-    return false;
-  }
-}
 
 bool fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
@@ -59,14 +42,14 @@ bool parse_uniform(const std::string& body, TopologySpec* spec,
   for (const auto& [key, value] : pairs) {
     bool ok = true;
     if (key == "sites") {
-      ok = parse_int(value, &spec->uniform_sites) && spec->uniform_sites >= 1;
+      ok = try_parse_number(value, &spec->uniform_sites) && spec->uniform_sites >= 1;
     } else if (key == "slots") {
-      ok = parse_int(value, &spec->uniform_slots) && spec->uniform_slots >= 1;
+      ok = try_parse_number(value, &spec->uniform_slots) && spec->uniform_slots >= 1;
     } else if (key == "bw") {
-      ok = parse_double(value, &spec->uniform_bw_mbps) &&
+      ok = try_parse_number(value, &spec->uniform_bw_mbps) &&
            spec->uniform_bw_mbps > 0;
     } else if (key == "lat") {
-      ok = parse_double(value, &spec->uniform_latency_ms) &&
+      ok = try_parse_number(value, &spec->uniform_latency_ms) &&
            spec->uniform_latency_ms >= 0;
     } else {
       return fail(error, "topology: unknown uniform key '" + key + "'");
@@ -87,31 +70,31 @@ bool parse_edge(const std::string& body, TopologySpec* spec,
   for (const auto& [key, value] : pairs) {
     bool ok = true;
     if (key == "sites") {
-      ok = parse_int(value, &p.edge_sites) && p.edge_sites >= 1;
+      ok = try_parse_number(value, &p.edge_sites) && p.edge_sites >= 1;
     } else if (key == "regions") {
-      ok = parse_int(value, &p.regions) && p.regions >= 1;
+      ok = try_parse_number(value, &p.regions) && p.regions >= 1;
     } else if (key == "core") {
-      ok = parse_int(value, &p.core_dcs) && p.core_dcs >= 1;
+      ok = try_parse_number(value, &p.core_dcs) && p.core_dcs >= 1;
     } else if (key == "regional") {
-      ok = parse_int(value, &p.regional_dcs_per_region) &&
+      ok = try_parse_number(value, &p.regional_dcs_per_region) &&
            p.regional_dcs_per_region >= 0;
     } else if (key == "core-slots") {
-      ok = parse_int(value, &p.core_slots) && p.core_slots >= 1;
+      ok = try_parse_number(value, &p.core_slots) && p.core_slots >= 1;
     } else if (key == "regional-slots") {
-      ok = parse_int(value, &p.regional_slots) && p.regional_slots >= 1;
+      ok = try_parse_number(value, &p.regional_slots) && p.regional_slots >= 1;
     } else if (key == "edge-slots") {
       // "MIN-MAX" range, or a single value for a fixed slot count.
       const std::size_t dash = value.find('-');
       if (dash == std::string::npos) {
-        ok = parse_int(value, &p.edge_slots_min);
+        ok = try_parse_number(value, &p.edge_slots_min);
         p.edge_slots_max = p.edge_slots_min;
       } else {
-        ok = parse_int(value.substr(0, dash), &p.edge_slots_min) &&
-             parse_int(value.substr(dash + 1), &p.edge_slots_max);
+        ok = try_parse_number(value.substr(0, dash), &p.edge_slots_min) &&
+             try_parse_number(value.substr(dash + 1), &p.edge_slots_max);
       }
       ok = ok && p.edge_slots_min >= 1 && p.edge_slots_max >= p.edge_slots_min;
     } else if (key == "domains-per-region") {
-      ok = parse_int(value, &p.domains_per_region) && p.domains_per_region >= 1;
+      ok = try_parse_number(value, &p.domains_per_region) && p.domains_per_region >= 1;
     } else {
       return fail(error, "topology: unknown edge key '" + key + "'");
     }

@@ -29,6 +29,18 @@ const char* to_string(AdaptationMode mode) {
   return "?";
 }
 
+std::optional<AdaptationMode> parse_mode(const std::string& name) {
+  if (name == "static") return AdaptationMode::kNoAdapt;
+  for (AdaptationMode mode :
+       {AdaptationMode::kNoAdapt, AdaptationMode::kDegrade,
+        AdaptationMode::kWasp, AdaptationMode::kReassignOnly,
+        AdaptationMode::kScaleOnly, AdaptationMode::kReplanOnly,
+        AdaptationMode::kHybrid}) {
+    if (name == to_string(mode)) return mode;
+  }
+  return std::nullopt;
+}
+
 // The control plane's network view: bandwidth from the (noisy, periodically
 // refreshed) WAN monitor, latency from the topology (stable, measured once),
 // slots from live accounting minus failed sites.

@@ -81,6 +81,9 @@ enum class AdaptationMode {
 };
 
 [[nodiscard]] const char* to_string(AdaptationMode mode);
+// The inverse of to_string, plus "static" as an alias of no-adapt; nullopt
+// for any other name.
+[[nodiscard]] std::optional<AdaptationMode> parse_mode(const std::string& name);
 
 struct SystemConfig {
   AdaptationMode mode = AdaptationMode::kWasp;
@@ -181,6 +184,7 @@ class WaspSystem {
   [[nodiscard]] double now() const { return now_; }
   [[nodiscard]] const engine::Engine& engine() const { return *engine_; }
   [[nodiscard]] engine::Engine& mutable_engine() { return *engine_; }
+  [[nodiscard]] const SystemConfig& config() const { return config_; }
   [[nodiscard]] const Recorder& recorder() const { return recorder_; }
   [[nodiscard]] const obs::MetricsRegistry& metrics() const {
     return metrics_;

@@ -1,13 +1,15 @@
 // Unit tests for the common utilities: ids, units, rng, stats, histogram,
-// time series, tables.
+// time series, tables, flag-value parsing.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "common/histogram.h"
 #include "common/ids.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -337,6 +339,22 @@ TEST(TableTest, SeriesPrinterMergesXValues) {
   // x=1 exists only in b; a's cell must be "-".
   EXPECT_NE(out.find("-"), std::string::npos);
   EXPECT_NE(out.find("5.000"), std::string::npos);
+}
+
+TEST(ParseNumberTest, WholeStringOrThrow) {
+  EXPECT_EQ(parse_number<int>("42"), 42);
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615"),
+            18446744073709551615ULL);
+  EXPECT_DOUBLE_EQ(parse_number<double>("0.5"), 0.5);
+  EXPECT_THROW((void)parse_number<int>("12abc"), std::invalid_argument);
+  EXPECT_THROW((void)parse_number<double>(""), std::invalid_argument);
+}
+
+TEST(ParseNumberTest, UnsignedRejectsNegatives) {
+  // std::stoull would turn "-1" into 2^64 - 1.
+  EXPECT_THROW((void)parse_number<std::uint64_t>("-1"), std::invalid_argument);
+  EXPECT_THROW((void)parse_number<std::uint64_t>(" -7"), std::invalid_argument);
+  EXPECT_EQ(parse_number<int>("-1"), -1);
 }
 
 }  // namespace

@@ -133,12 +133,12 @@ TEST(ExpandGrid, RowMajorLastAxisFastest) {
   const auto cells = expand_grid(grid, SweepDefaults{}, &error);
   ASSERT_TRUE(cells.has_value()) << error;
   ASSERT_EQ(cells->size(), 4u);
-  EXPECT_EQ((*cells)[0].seed, 1u);
-  EXPECT_EQ((*cells)[0].mode, "wasp");
-  EXPECT_EQ((*cells)[1].seed, 1u);
-  EXPECT_EQ((*cells)[1].mode, "degrade");
-  EXPECT_EQ((*cells)[2].seed, 2u);
-  EXPECT_EQ((*cells)[2].mode, "wasp");
+  EXPECT_EQ((*cells)[0].scenario.seed, 1u);
+  EXPECT_EQ((*cells)[0].scenario.mode, runtime::AdaptationMode::kWasp);
+  EXPECT_EQ((*cells)[1].scenario.seed, 1u);
+  EXPECT_EQ((*cells)[1].scenario.mode, runtime::AdaptationMode::kDegrade);
+  EXPECT_EQ((*cells)[2].scenario.seed, 2u);
+  EXPECT_EQ((*cells)[2].scenario.mode, runtime::AdaptationMode::kWasp);
   EXPECT_EQ((*cells)[3].index, 3u);
   EXPECT_FALSE((*cells)[0].seed_forked);
 }
@@ -154,7 +154,7 @@ TEST(ExpandGrid, ForksSeedByCellIndexWithoutSeedsAxis) {
   ASSERT_EQ(cells->size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_TRUE((*cells)[i].seed_forked);
-    EXPECT_EQ((*cells)[i].seed, fork_seed(99, i));
+    EXPECT_EQ((*cells)[i].scenario.seed, fork_seed(99, i));
   }
 }
 
@@ -167,9 +167,9 @@ TEST(ExpandGrid, TopologyAxisStoresCanonicalSpecs) {
   const auto cells = expand_grid(grid, SweepDefaults{}, &error);
   ASSERT_TRUE(cells.has_value()) << error;
   ASSERT_EQ(cells->size(), 2u);
-  EXPECT_TRUE((*cells)[0].topology.empty());  // paper = the default testbed
-  EXPECT_FALSE((*cells)[1].topology.empty());
-  EXPECT_EQ((*cells)[1].topology.rfind("edge:", 0), 0u);
+  EXPECT_TRUE((*cells)[0].scenario.topology.empty());  // paper = the default testbed
+  EXPECT_FALSE((*cells)[1].scenario.topology.empty());
+  EXPECT_EQ((*cells)[1].scenario.topology.rfind("edge:", 0), 0u);
   EXPECT_EQ((*cells)[1].labels[0].second, "edge:sites=32;regions=4");
 }
 
@@ -193,19 +193,20 @@ TEST(ExpandGrid, StepsAndStaticAliasApply) {
   ASSERT_TRUE(grid.parse_arg("workload-step=300:2+600:1", &error));
   const auto cells = expand_grid(grid, SweepDefaults{}, &error);
   ASSERT_TRUE(cells.has_value()) << error;
-  EXPECT_EQ((*cells)[0].mode, "no-adapt");
-  ASSERT_EQ((*cells)[0].workload_steps.size(), 2u);
-  EXPECT_DOUBLE_EQ((*cells)[0].workload_steps[0].first, 300.0);
-  EXPECT_DOUBLE_EQ((*cells)[0].workload_steps[0].second, 2.0);
+  EXPECT_EQ((*cells)[0].scenario.mode, runtime::AdaptationMode::kNoAdapt);
+  const auto& steps = (*cells)[0].scenario.workload_steps;
+  ASSERT_EQ(steps.size(), 2u);
+  EXPECT_DOUBLE_EQ(steps[0].first, 300.0);
+  EXPECT_DOUBLE_EQ(steps[0].second, 2.0);
 }
 
 // ---- run_one / run_sweep ----------------------------------------------
 
 TEST(RunOne, ReportsErrorsInsteadOfThrowing) {
   RunSpec spec;
-  spec.seed = 7;
-  spec.duration_sec = 10.0;
-  spec.fault_schedule = "/nonexistent/chaos.fsched";
+  spec.scenario.seed = 7;
+  spec.scenario.duration_sec = 10.0;
+  spec.scenario.fault_schedule = "/nonexistent/chaos.fsched";
   const RunResult result = run_one(spec);
   EXPECT_FALSE(result.ok);
   EXPECT_FALSE(result.error.empty());
@@ -223,13 +224,13 @@ TEST(SweepDeterminism, SixteenCellGridIdenticalForJobs1AndJobs8) {
   ASSERT_TRUE(grid.parse_arg("seeds=1..8", &error));
   ASSERT_TRUE(grid.parse_arg("policy=wasp,static", &error));
   SweepDefaults defaults;
-  defaults.duration_sec = 120.0;
+  defaults.scenario.duration_sec = 120.0;
   auto cells = expand_grid(grid, defaults, &error);
   ASSERT_TRUE(cells.has_value()) << error;
   ASSERT_EQ(cells->size(), 16u);
   // A surge at t=30 so the wasp cells exercise the adaptation machinery.
   for (auto& cell : *cells) {
-    cell.workload_steps = {{30.0, 3.0}};
+    cell.scenario.workload_steps = {{30.0, 3.0}};
   }
 
   SweepOptions serial;
@@ -252,7 +253,9 @@ TEST(SweepDeterminism, SixteenCellGridIdenticalForJobs1AndJobs8) {
   // The adaptive cells did adapt (the surge is sized to force it).
   std::size_t adaptive_actions = 0;
   for (const auto& result : parallel_results) {
-    if (result.spec.mode == "wasp") adaptive_actions += result.adaptations;
+    if (result.spec.scenario.mode == runtime::AdaptationMode::kWasp) {
+      adaptive_actions += result.adaptations;
+    }
   }
   EXPECT_GT(adaptive_actions, 0u);
 }
@@ -264,7 +267,7 @@ TEST(MergedJsonl, ParsesAsTraceEvents) {
   std::string error;
   ASSERT_TRUE(grid.parse_arg("seeds=1..2", &error));
   SweepDefaults defaults;
-  defaults.duration_sec = 30.0;
+  defaults.scenario.duration_sec = 30.0;
   const auto cells = expand_grid(grid, defaults, &error);
   ASSERT_TRUE(cells.has_value()) << error;
   SweepOptions opts;

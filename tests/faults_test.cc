@@ -78,6 +78,20 @@ TEST(FaultScheduleTest, RejectsMalformedLinesWithLineNumbers) {
   expect_error("100 crash site=1\n200 heal from=0\n", "line 2");
 }
 
+TEST(FaultScheduleTest, FitsChecksSiteIdsAgainstTheTopologySize) {
+  std::istringstream in("100 flap from=9 to=6 period=12 duration=80\n"
+                        "120 crash site=6\n600 stall duration=25\n");
+  FaultSchedule schedule;
+  std::string error;
+  ASSERT_TRUE(FaultSchedule::parse(in, &schedule, &error)) << error;
+  EXPECT_TRUE(schedule.fits(16, &error));
+  EXPECT_TRUE(schedule.fits(10, &error));
+  // An 8-site topology has no site 9: the flap would index past the link
+  // table, so the schedule does not fit.
+  EXPECT_FALSE(schedule.fits(8, &error));
+  EXPECT_NE(error.find("names site 9"), std::string::npos) << error;
+}
+
 // ---------------------------------------------------------------------------
 // FaultInjector
 // ---------------------------------------------------------------------------

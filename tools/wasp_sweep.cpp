@@ -18,10 +18,8 @@
 // Run `wasp_sweep --help` for the full flag list.
 #include <chrono>
 #include <cstdint>
-#include <exception>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,6 +27,7 @@
 #include "common/table.h"
 #include "exec/parallel.h"
 #include "exec/sweep.h"
+#include "runtime/flags.h"
 
 namespace {
 
@@ -42,128 +41,69 @@ struct Options {
   std::string trace_dir;
   std::string bench_out;
   bool quiet = false;
-  bool profile = false;
-  int profile_every = 60;
 };
 
-void print_usage() {
-  std::cout <<
-      R"(wasp_sweep -- deterministic parallel sweep over WaspSystem runs
-
-  --grid AXIS [AXIS...]     grid axes; every following non-flag argument is
-                            one axis, written name=value[,value...]:
-                              seeds=1..32         integer list and/or ranges
-                              policy=wasp,static  also: no-adapt degrade
-                                                  re-assign scale re-plan hybrid
-                              query=topk,ysb      also: interest join
-                              trace=FILE|live     bandwidth trace CSV (globs ok)
-                              fault=FILE          fault schedule (globs ok)
-                              duration=N rate=N alpha=X slo=N
-                              workload-step=T:F[+T:F...]
-                              bandwidth-step=T:F[+T:F...]
-                              topology=paper,edge:sites=64;regions=4
-                                                  TopologySpec strings
-                                                  (DESIGN.md §14); use ';'
-                                                  between spec params, ','
-                                                  separates axis values
-                            cells = cartesian product, last axis fastest
-  --sweep-file=FILE         read axes from FILE (one per line, # comments)
-  --jobs=N                  runs executed in parallel, one thread each
-                            (N >= 1, default: hardware cores; results are
-                            byte-identical for any N)
-  --out=FILE                merged JSONL (default sweep.jsonl; "-" = stdout)
-  --trace-dir=DIR           per-run observability traces DIR/run_<cell>.jsonl
-  --profile                 always-on phase profiler: each traced cell emits
-                            periodic `profile` events (pure observer; the
-                            merged stream is bit-identical either way)
-  --profile-every=N         profile-event cadence in ticks (default 60;
-                            implies --profile)
-  --seed=N                  base seed forked per cell when no seeds axis
-                            (default 42)
-  --mode=M --query=Q --duration=N --rate=N --alpha=X --slo=N
-                            defaults for cells no axis overrides
-  --bench-out=FILE          run the grid with --jobs workers AND serially,
-                            assert the merged outputs are byte-identical, and
-                            write a speedup JSON (wasp-bench-sweep-v1)
-  --quiet                   suppress the summary table and progress lines
-  --help                    this text
-
-The merged stream is one "sweep_grid" header line plus one "sweep_cell" line
-per cell (obs trace-event encoding, seq = cell index + 1); `wasp_trace
-validate|diff` accept it. Wall-clock timings never enter the merged stream.
-)";
-}
-
-bool parse_args(int argc, char** argv, Options* opts) {
-  bool in_grid = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value_of = [&](const char* flag) -> std::optional<std::string> {
-      const std::string prefix = std::string(flag) + "=";
-      if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-      return std::nullopt;
-    };
-    std::string error;
-    if (arg.rfind("--", 0) == 0) in_grid = false;
-    try {
-      if (arg == "--help" || arg == "-h") {
-        print_usage();
-        std::exit(0);
-      } else if (arg == "--grid") {
-        in_grid = true;
-      } else if (in_grid) {
-        if (!opts->grid.parse_arg(arg, &error)) {
-          std::cerr << error << "\n";
-          return false;
-        }
-      } else if (auto v = value_of("--sweep-file")) {
-        if (!opts->grid.parse_file(*v, &error)) {
-          std::cerr << error << "\n";
-          return false;
-        }
-      } else if (auto v = value_of("--jobs")) {
-        opts->jobs = parse_number<int>(*v);
-        if (opts->jobs < 1) {
-          std::cerr << "--jobs must be >= 1\n";
-          return false;
-        }
-      } else if (auto v = value_of("--out")) {
-        opts->out = *v;
-      } else if (auto v = value_of("--trace-dir")) {
-        opts->trace_dir = *v;
-      } else if (auto v = value_of("--bench-out")) {
-        opts->bench_out = *v;
-      } else if (auto v = value_of("--seed")) {
-        opts->defaults.base_seed = parse_number<std::uint64_t>(*v);
-      } else if (auto v = value_of("--mode")) {
-        opts->defaults.mode = *v;
-      } else if (auto v = value_of("--query")) {
-        opts->defaults.query = *v;
-      } else if (auto v = value_of("--duration")) {
-        opts->defaults.duration_sec = parse_number<double>(*v);
-      } else if (auto v = value_of("--rate")) {
-        opts->defaults.rate_eps = parse_number<double>(*v);
-      } else if (auto v = value_of("--alpha")) {
-        opts->defaults.alpha = parse_number<double>(*v);
-      } else if (auto v = value_of("--slo")) {
-        opts->defaults.slo_sec = parse_number<double>(*v);
-      } else if (auto v = value_of("--profile-every")) {
-        opts->profile_every = std::max(1, parse_number<int>(*v));
-        opts->profile = true;
-      } else if (arg == "--profile") {
-        opts->profile = true;
-      } else if (arg == "--quiet") {
-        opts->quiet = true;
-      } else {
-        std::cerr << "unknown argument: " << arg << " (see --help)\n";
-        return false;
-      }
-    } catch (const std::exception&) {
-      std::cerr << "invalid value in " << arg << "\n";
-      return false;
-    }
-  }
-  return true;
+runtime::FlagTable sweep_flags(Options* opts) {
+  runtime::FlagTable flags(
+      "wasp_sweep -- deterministic parallel sweep over WaspSystem runs",
+      "The merged stream is one \"sweep_grid\" header line plus one "
+      "\"sweep_cell\" line\nper cell (obs trace-event encoding, seq = cell "
+      "index + 1); `wasp_trace\nvalidate|diff` accept it. Wall-clock timings "
+      "never enter the merged stream.\n");
+  auto require = [](bool ok, const std::string& error) {
+    if (!ok) throw std::invalid_argument(error);
+  };
+  flags.add({"--grid", "AXIS...",
+             "grid axes, written name=value[,value...]; every\n"
+             "following argument not starting with '-' is one.\n"
+             "An axis applies each value through the flag of\n"
+             "the same name: seeds (--seed; a..b ranges), policy\n"
+             "(--mode), query, duration, rate, alpha, slo,\n"
+             "trace (globs), fault (--fault-schedule; globs),\n"
+             "workload-step, bandwidth-step ('+'-joined T:F),\n"
+             "topology (';' between spec params). Cells are the\n"
+             "cartesian product, last axis fastest",
+             [opts, require](const std::string& v) {
+               std::string error;
+               require(opts->grid.parse_arg(v, &error), error);
+             },
+             "", /*greedy=*/true});
+  flags.add({"--sweep-file", "FILE",
+             "read axes from FILE (one per line, # comments)",
+             [opts, require](const std::string& v) {
+               std::string error;
+               require(opts->grid.parse_file(v, &error), error);
+             }});
+  flags.add({"--jobs", "N",
+             "runs executed in parallel, one thread each\n"
+             "(N >= 1, default: hardware cores; results are\n"
+             "byte-identical for any N)",
+             [opts](const std::string& v) {
+               opts->jobs = parse_number<int>(v);
+               if (opts->jobs < 1) throw std::invalid_argument("must be >= 1");
+             }});
+  flags.add({"--out", "FILE",
+             "merged JSONL (default sweep.jsonl; \"-\" = stdout)",
+             [opts](const std::string& v) { opts->out = v; }});
+  flags.add({"--trace-dir", "DIR",
+             "per-run observability traces DIR/run_<cell>.jsonl",
+             [opts](const std::string& v) { opts->trace_dir = v; }});
+  flags.add({"--seed", "N",
+             "base seed forked per cell when no seeds axis\n(default 42)",
+             [opts](const std::string& v) {
+               opts->defaults.base_seed = parse_number<std::uint64_t>(v);
+             }});
+  flags.add_scenario(&opts->defaults.scenario,
+                     {"mode", "query", "duration", "rate", "alpha", "slo",
+                      "profile", "profile-every"});
+  flags.add({"--bench-out", "FILE",
+             "run the grid with --jobs workers AND serially,\n"
+             "assert the merged outputs are byte-identical,\n"
+             "and write a speedup JSON (wasp-bench-sweep-v1)",
+             [opts](const std::string& v) { opts->bench_out = v; }});
+  flags.add({"--quiet", "", "suppress the summary table and progress lines",
+             [opts](const std::string&) { opts->quiet = true; }});
+  return flags;
 }
 
 std::string labels_of(const exec::RunSpec& spec) {
@@ -182,11 +122,12 @@ void print_summary(const std::vector<exec::RunResult>& results) {
   for (const exec::RunResult& r : results) {
     if (!r.ok) {
       table.add_row({std::to_string(r.spec.index), labels_of(r.spec),
-                     std::to_string(r.spec.seed), "ERROR: " + r.error});
+                     std::to_string(r.spec.scenario.seed),
+                     "ERROR: " + r.error});
       continue;
     }
     table.add_row({std::to_string(r.spec.index), labels_of(r.spec),
-                   std::to_string(r.spec.seed),
+                   std::to_string(r.spec.scenario.seed),
                    TextTable::fmt(r.delay_p50_sec, 3),
                    TextTable::fmt(r.delay_p95_sec, 3),
                    TextTable::fmt(r.delay_p99_sec, 3),
@@ -205,8 +146,6 @@ std::vector<exec::RunResult> run_grid(const std::vector<exec::RunSpec>& cells,
   exec::SweepOptions sweep_opts;
   sweep_opts.jobs = jobs;
   sweep_opts.trace_dir = opts.trace_dir;
-  sweep_opts.profile = opts.profile;
-  sweep_opts.profile_every = opts.profile_every;
   if (!opts.quiet) {
     std::size_t done = 0;
     const std::size_t total = cells.size();
@@ -230,7 +169,7 @@ std::vector<exec::RunResult> run_grid(const std::vector<exec::RunSpec>& cells,
 
 int main(int argc, char** argv) {
   Options opts;
-  if (!parse_args(argc, argv, &opts)) return 2;
+  if (const auto rc = sweep_flags(&opts).parse(argc, argv)) return *rc;
 
   std::string error;
   const auto cells = exec::expand_grid(opts.grid, opts.defaults, &error);
