@@ -154,39 +154,14 @@ BENCHMARK(BM_PlacementIlpReference)->Arg(8)->Arg(16);
 
 // ---------------------------------------------------------------------------
 // Planet-scale placement suite (DESIGN.md §14): how the solver stack scales
-// from the paper's 16-site testbed to hundreds of edge sites, and what the
-// warm-started re-plan path buys on localized changes.
+// from the paper's 16-site testbed to hundreds of edge sites.
 // ---------------------------------------------------------------------------
-
-// Bandwidth-perturbing wrapper: scales every link of the base view by a
-// per-epoch factor. Changes the placement-cache key (endpoint bandwidths are
-// part of it) without touching the ILP's structure, which is exactly the
-// re-plan-after-network-drift access pattern the warm-basis path serves.
-class ScaledView final : public physical::NetworkView {
- public:
-  explicit ScaledView(const physical::NetworkView& base) : base_(base) {}
-  void set_bw_scale(double s) { scale_ = s; }
-  std::size_t num_sites() const override { return base_.num_sites(); }
-  double available_mbps(SiteId f, SiteId t) const override {
-    return base_.available_mbps(f, t) * scale_;
-  }
-  double latency_ms(SiteId f, SiteId t) const override {
-    return base_.latency_ms(f, t);
-  }
-  int available_slots(SiteId s) const override {
-    return base_.available_slots(s);
-  }
-
- private:
-  const physical::NetworkView& base_;
-  double scale_ = 1.0;
-};
 
 void BM_PlacementScale(benchmark::State& state) {
   // Cold single-stage placement as the site count grows 16 -> 64 -> 256.
-  // Below Scheduler::Config::direct_solve_min_sites this is the legacy exact
-  // B&B; above it the folded ILP's exact greedy direct solve. The CI perf
-  // gate asserts the 16 -> 256 growth stays sub-quadratic.
+  // Below 33 sites this is the legacy exact B&B; at or above it the folded
+  // ILP's exact greedy direct solve. The CI perf gate asserts the 16 -> 256
+  // growth stays sub-quadratic.
   const std::size_t m = static_cast<std::size_t>(state.range(0));
   Rng rng(7);
   const RandomView view(m, rng);
@@ -199,57 +174,6 @@ void BM_PlacementScale(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PlacementScale)->Arg(16)->Arg(64)->Arg(256);
-
-// Warm-vs-cold re-plan pair at 256 sites: an 8-stage plan re-placed every
-// epoch after a *localized* change (one stage's upstream rate moved, the
-// other seven untouched) -- the planet-scale re-plan access pattern that
-// region decomposition produces. The warm variant runs the scale stack as
-// shipped: untouched stages are served by the cross-epoch placement cache
-// and the changed stage re-enters the budgeted branch & bound from the
-// previous epoch's captured root basis. The cold variant disables both and
-// re-solves all eight stages from scratch each epoch. Both force the
-// branch & bound path (the folded ILP's direct greedy solve would bypass
-// the solver whose warm start is being measured). BENCH_solvers.json pairs
-// them into the warm-speedup gate (>= 5x, DESIGN.md §14).
-void run_placement_replan(benchmark::State& state, bool warm) {
-  const std::size_t m = 256;
-  constexpr int kStages = 8;
-  Rng rng(7);
-  const RandomView view(m, rng);
-  std::vector<physical::StageContext> stages;
-  for (int k = 0; k < kStages; ++k) stages.push_back(make_placement_ctx(m, rng));
-  const double base_rate = stages[0].upstream[0].events_per_sec;
-  physical::Scheduler::Config config;
-  config.force_branch_and_bound = true;
-  config.warm_start = warm;
-  config.cross_epoch_cache = warm;
-  physical::Scheduler scheduler(config);
-  int epoch = 0;
-  for (auto _ : state) {
-    scheduler.begin_epoch();
-    // Alternate the perturbed stage's rate so its cache key always differs
-    // from the previous epoch's (the two-generation cache holds exactly one
-    // prior epoch): the changed stage must genuinely re-solve.
-    stages[0].upstream[0].events_per_sec =
-        base_rate * (epoch++ % 2 == 0 ? 1.0 : 1.01);
-    double total = 0.0;
-    for (const physical::StageContext& ctx : stages) {
-      const auto placed = scheduler.place_stage(ctx, view);
-      if (placed.has_value()) total += placed->objective;
-    }
-    benchmark::DoNotOptimize(total);
-  }
-}
-
-void BM_PlacementReplanWarm(benchmark::State& state) {
-  run_placement_replan(state, /*warm=*/true);
-}
-BENCHMARK(BM_PlacementReplanWarm)->Arg(256);
-
-void BM_PlacementReplanCold(benchmark::State& state) {
-  run_placement_replan(state, /*warm=*/false);
-}
-BENCHMARK(BM_PlacementReplanCold)->Arg(256);
 
 // ---------------------------------------------------------------------------
 // Fig-scale decision-epoch suite: the §8.2 16-site testbed, all four

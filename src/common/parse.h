@@ -6,6 +6,7 @@
 // the command line instead of silently running another experiment.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -17,7 +18,7 @@ namespace wasp {
 // Parses all of `text` as a T (int, std::uint64_t or double). Throws
 // std::invalid_argument, with a message fit for the user, when `text` is
 // not exactly one in-range number of that type; a std::uint64_t is never
-// negative.
+// negative, and a double is always finite (std::stod reads "nan" and "inf").
 template <typename T>
 [[nodiscard]] T parse_number(const std::string& text) {
   std::size_t pos = 0;
@@ -41,6 +42,11 @@ template <typename T>
                                     ? "not an integer"
                                     : "not a non-negative integer");
   }
+  if constexpr (std::is_same_v<T, double>) {
+    if (!std::isfinite(value)) {
+      throw std::invalid_argument("not a finite number");
+    }
+  }
   return value;
 }
 
@@ -54,6 +60,14 @@ template <typename T>
   } catch (const std::invalid_argument&) {
     return false;
   }
+}
+
+// `text` without its leading and trailing blanks (spaces, tabs, carriage
+// returns), for cells of a delimited file.
+[[nodiscard]] inline std::string trim_blanks(const std::string& text) {
+  const auto first = text.find_first_not_of(" \t\r");
+  if (first == std::string::npos) return {};
+  return text.substr(first, text.find_last_not_of(" \t\r") - first + 1);
 }
 
 }  // namespace wasp

@@ -539,14 +539,8 @@ double Engine::deliver_and_process(std::size_t stage_idx, std::size_t s,
 void Engine::set_flow_demands(double dt) {
   const std::size_t n = chan_.size();
   demand_scratch_.resize(n);
-  if (config_.use_fast_kernels) {
-    kernels::flow_demand_mbps(n, c_queue_.data(), c_event_bytes_.data(), dt,
-                              demand_scratch_.data());
-  } else {
-    kernels::flow_demand_mbps_scalar(n, c_queue_.data(),
-                                     c_event_bytes_.data(), dt,
-                                     demand_scratch_.data());
-  }
+  kernels::flow_demand_mbps(n, c_queue_.data(), c_event_bytes_.data(), dt,
+                            demand_scratch_.data());
   for (std::size_t i = 0; i < n; ++i) {
     if (c_flow_[i] == nullptr) continue;
     net::Network::set_stream_demand(*c_flow_[i], demand_scratch_[i]);
@@ -661,47 +655,23 @@ void Engine::tick(double t) {
   // receiver is suspended (mid-transition), delivery skips it and
   // `delivered` decays to zero, which must not erase the drain estimate
   // the post-transition backpressure bound depends on.
-  if (config_.use_fast_kernels) {
-    kernels::reset_stage_tick(num_stages_, stage_processed_.data(),
-                              stage_emitted_.data(), stage_arrived_.data(),
-                              stage_backpressured_.data());
-  } else {
-    kernels::reset_stage_tick_scalar(num_stages_, stage_processed_.data(),
-                                     stage_emitted_.data(),
-                                     stage_arrived_.data(),
-                                     stage_backpressured_.data());
-  }
-  const std::size_t n_chan = chan_.size();
-  if (config_.use_fast_kernels) {
-    kernels::reset_channel_tick(n_chan, c_to_stage_.data(),
-                                stage_suspended_.data(),
-                                c_delivered_prev_.data(), c_delivered_.data(),
-                                c_offered_.data());
-  } else {
-    kernels::reset_channel_tick_scalar(n_chan, c_to_stage_.data(),
-                                       stage_suspended_.data(),
-                                       c_delivered_prev_.data(),
-                                       c_delivered_.data(), c_offered_.data());
-  }
+  kernels::reset_stage_tick(num_stages_, stage_processed_.data(),
+                            stage_emitted_.data(), stage_arrived_.data(),
+                            stage_backpressured_.data());
+  kernels::reset_channel_tick(chan_.size(), c_to_stage_.data(),
+                              stage_suspended_.data(),
+                              c_delivered_prev_.data(), c_delivered_.data(),
+                              c_offered_.data());
   // Group-capacity snapshot, one stage row of the gid array at a time. The
   // dense row equals the legacy "fill zero + hosting-sites loop" exactly: a
   // non-hosting group has tasks == 0, and 0 * eps * straggler is the same
   // +0.0 the fill wrote (see kernels.h).
   for (std::size_t stage = 0; stage < num_stages_; ++stage) {
     const std::size_t row = stage * num_sites_;
-    if (config_.use_fast_kernels) {
-      kernels::group_capacity_row(num_sites_, g_tasks_.data() + row,
-                                  stage_eps_per_slot_[stage],
-                                  failed_sites_.data(),
-                                  straggler_factor_.data(),
-                                  g_capacity_.data() + row);
-    } else {
-      kernels::group_capacity_row_scalar(num_sites_, g_tasks_.data() + row,
-                                         stage_eps_per_slot_[stage],
-                                         failed_sites_.data(),
-                                         straggler_factor_.data(),
-                                         g_capacity_.data() + row);
-    }
+    kernels::group_capacity_row(num_sites_, g_tasks_.data() + row,
+                                stage_eps_per_slot_[stage],
+                                failed_sites_.data(), straggler_factor_.data(),
+                                g_capacity_.data() + row);
   }
   prev_delay_sec_ = last_.delay_sec;
   last_ = QueryTickMetrics{};

@@ -83,11 +83,6 @@ struct EngineConfig {
   // the change rate instead of total state size (DESIGN.md §12). 1 = every
   // checkpoint is full (the pre-tiered behavior).
   int full_checkpoint_every = 5;
-  // When false, the vectorization-annotated per-tick kernels are swapped for
-  // their scalar reference twins (src/engine/kernels.h). The two are
-  // bit-identical by contract -- this switch exists so tests can prove it on
-  // whole simulations, not for production use.
-  bool use_fast_kernels = true;
   // Optional observability hooks (non-owning; may be null). The trace
   // receives tick/placement/replan/failure/checkpoint events; the registry
   // receives engine.* counters and gauges. See DESIGN.md §6.

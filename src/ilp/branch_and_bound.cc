@@ -111,21 +111,7 @@ class Solver {
         continue;
       }
 
-      lp::Solution relax;
-      if (node.var == kNoVar) {
-        // Root relaxation: the only solve that may warm-start (children
-        // mutate bounds, changing the bound-row structure a basis maps onto)
-        // and the one whose basis is worth capturing for the next re-plan.
-        lp::SimplexOptions root_opts = options_.lp_options;
-        root_opts.warm_basis = options_.root_warm_basis;
-        root_opts.capture_basis = options_.capture_root_basis;
-        relax = lp::solve(work, root_opts);
-        if (options_.capture_root_basis && relax.optimal()) {
-          result.root_basis = relax.basis;
-        }
-      } else {
-        relax = lp::solve(work, options_.lp_options);
-      }
+      const lp::Solution relax = lp::solve(work, options_.lp_options);
       result.lp_iterations += relax.iterations;
       if (relax.status == lp::SolveStatus::kUnbounded) {
         result.status = lp::SolveStatus::kUnbounded;

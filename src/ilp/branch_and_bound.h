@@ -38,16 +38,6 @@ struct IlpOptions {
   // Options forwarded to every LP relaxation solve.
   lp::SimplexOptions lp_options;
   Algorithm algorithm = Algorithm::kCopyFree;
-  // Warm start for the root relaxation only: a basis captured from a
-  // structurally identical problem's root solve (see
-  // lp::SimplexOptions::warm_basis; an unusable basis falls back to a cold
-  // root solve). Child-node relaxations always solve cold -- branch bounds
-  // change the bound-row structure, so a root basis rarely transfers. Used
-  // by the scheduler to warm re-plans from the placement cache. Ignored by
-  // the kReference algorithm. Not owned; must outlive the solve.
-  const std::vector<std::size_t>* root_warm_basis = nullptr;
-  // Capture the root relaxation's optimal basis into IlpResult::root_basis.
-  bool capture_root_basis = false;
 };
 
 struct IlpResult {
@@ -63,10 +53,6 @@ struct IlpResult {
   // rather than exhausted, and `status` reports kIterationLimit instead of
   // kInfeasible.
   std::size_t nodes_dropped_by_limit = 0;
-  // Root relaxation basis, captured when IlpOptions::capture_root_basis is
-  // set and the root LP solved to optimality (empty otherwise). Feed back as
-  // root_warm_basis on the next structurally identical solve.
-  std::vector<std::size_t> root_basis;
 
   [[nodiscard]] bool optimal() const {
     return status == lp::SolveStatus::kOptimal;

@@ -83,12 +83,6 @@ struct Solution {
   // Simplex pivots performed across both phases (solver-cost attribution for
   // trace spans; 0 when the solve failed before pivoting).
   std::size_t iterations = 0;
-  // Optimal basis (one tableau column index per constraint row), captured
-  // only when SimplexOptions::capture_basis is set. Indices live in the
-  // solver's internal column space (structural, then slack, then artificial),
-  // so a basis is only meaningful as a warm start for a problem with the
-  // same variable/constraint structure -- callers key it accordingly.
-  std::vector<std::size_t> basis;
 
   [[nodiscard]] bool optimal() const { return status == SolveStatus::kOptimal; }
 };

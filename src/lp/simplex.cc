@@ -122,7 +122,6 @@ class Tableau {
   Tableau(StandardForm sf, const SimplexOptions& options)
       : sf_(std::move(sf)),
         eps_(options.eps),
-        capture_basis_(options.capture_basis),
         maintained_pricing_(options.pricing ==
                             SimplexOptions::Pricing::kMaintainedRow) {
     const std::size_t m = sf_.num_rows();
@@ -193,80 +192,24 @@ class Tableau {
     }
   }
 
-  // Attempts to install a previously captured basis by pivoting each desired
-  // column into the basis. Returns true when every non-artificial desired
-  // column is basic afterwards and the resulting basic solution is feasible
-  // (rhs >= -tol, artificial basics at ~0); run() then skips phase 1. On
-  // false the tableau has been mutated by partial pivoting and the caller
-  // must discard it (cold fallback) -- pivots preserve tableau validity but
-  // not the phase-1-ready starting basis.
-  bool try_install_basis(const std::vector<std::size_t>& warm) {
-    if (warm.size() != num_rows_) return false;
-    for (std::size_t d : warm) {
-      if (d >= num_cols_) return false;
-    }
-    std::vector<char> desired(num_cols_, 0);
-    for (std::size_t d : warm) {
-      if (!is_artificial_[d]) desired[d] = 1;
-    }
-    std::vector<char> basic(num_cols_, 0);
-    for (std::size_t b : basis_) basic[b] = 1;
-    for (std::size_t d : warm) {
-      if (is_artificial_[d] || basic[d]) continue;
-      // Pivot `d` in over a row whose current basic variable is not itself
-      // desired; the largest-magnitude pivot wins for numeric stability.
-      std::size_t best_row = num_rows_;
-      double best_mag = eps_;
-      for (std::size_t r = 0; r < num_rows_; ++r) {
-        if (desired[basis_[r]]) continue;
-        const double mag = std::abs(row(r)[d]);
-        if (mag > best_mag) {
-          best_row = r;
-          best_mag = mag;
-        }
-      }
-      if (best_row == num_rows_) return false;  // singular: cold fallback
-      basic[basis_[best_row]] = 0;
-      pivot(best_row, d);
-      basic[d] = 1;
-    }
-    for (std::size_t r = 0; r < num_rows_; ++r) {
-      if (row(r)[num_cols_] < -feas_tol_) return false;
-      if (is_artificial_[basis_[r]] &&
-          std::abs(row(r)[num_cols_]) > feas_tol_) {
-        return false;
-      }
-    }
-    warm_feasible_ = true;
-    return true;
-  }
-
   Solution run() {
-    if (warm_feasible_) {
-      // A warm basis was installed at a feasible point: phase 1 is already
-      // done. Block artificials exactly as drop_artificials() would.
-      for (std::size_t c = art_begin_; c < num_cols_; ++c) {
-        if (is_artificial_[c]) blocked_[c] = 1;
+    // Phase 1: minimize the sum of artificial variables. `cost_` is reused
+    // as the phase-cost buffer for both phases.
+    cost_.assign(num_cols_, 0.0);
+    bool any_artificial = false;
+    for (std::size_t c = art_begin_; c < num_cols_; ++c) {
+      if (is_artificial_[c]) {
+        cost_[c] = 1.0;
+        any_artificial = true;
       }
-    } else {
-      // Phase 1: minimize the sum of artificial variables. `cost_` is reused
-      // as the phase-cost buffer for both phases.
-      cost_.assign(num_cols_, 0.0);
-      bool any_artificial = false;
-      for (std::size_t c = art_begin_; c < num_cols_; ++c) {
-        if (is_artificial_[c]) {
-          cost_[c] = 1.0;
-          any_artificial = true;
-        }
+    }
+    if (any_artificial) {
+      const SolveStatus s1 = optimize(cost_);
+      if (s1 == SolveStatus::kIterationLimit) return Solution{.status = s1, .objective = 0.0, .values = {}, .iterations = pivots_};
+      if (phase_objective(cost_) > feas_tol_) {
+        return Solution{.status = SolveStatus::kInfeasible, .objective = 0.0, .values = {}, .iterations = pivots_};
       }
-      if (any_artificial) {
-        const SolveStatus s1 = optimize(cost_);
-        if (s1 == SolveStatus::kIterationLimit) return Solution{.status = s1, .objective = 0.0, .values = {}, .iterations = pivots_};
-        if (phase_objective(cost_) > feas_tol_) {
-          return Solution{.status = SolveStatus::kInfeasible, .objective = 0.0, .values = {}, .iterations = pivots_};
-        }
-        drop_artificials();
-      }
+      drop_artificials();
     }
 
     // Phase 2: the real objective.
@@ -283,7 +226,6 @@ class Tableau {
     Solution sol;
     sol.status = SolveStatus::kOptimal;
     sol.iterations = pivots_;
-    if (capture_basis_) sol.basis = basis_;
     sol.values.resize(sf_.mapping.size(), 0.0);
     for (std::size_t i = 0; i < sf_.mapping.size(); ++i) {
       const VarMap& m = sf_.mapping[i];
@@ -422,8 +364,6 @@ class Tableau {
 
   StandardForm sf_;
   double eps_;
-  bool capture_basis_ = false;
-  bool warm_feasible_ = false;
   bool maintained_pricing_ = true;
   double feas_tol_ = 1e-7;
   std::vector<double> red_;  // maintained reduced costs, active in optimize()
@@ -451,14 +391,7 @@ Solution solve(const Problem& problem, const SimplexOptions& options) {
     sol.objective = 0.0;
     return sol;
   }
-  StandardForm sf = build_standard_form(problem);
-  if (options.warm_basis != nullptr && !options.warm_basis->empty()) {
-    // Warm attempt on a copy of the standard form: a failed install mutates
-    // the tableau, so the cold path below rebuilds from the pristine form.
-    Tableau warm(sf, options);
-    if (warm.try_install_basis(*options.warm_basis)) return warm.run();
-  }
-  Tableau tableau(std::move(sf), options);
+  Tableau tableau(build_standard_form(problem), options);
   return tableau.run();
 }
 

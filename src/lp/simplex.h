@@ -27,17 +27,6 @@ struct SimplexOptions {
   // from the problem size.
   std::size_t max_iterations = 0;
   Pricing pricing = Pricing::kMaintainedRow;
-  // Warm start: a basis previously captured via `capture_basis` from a
-  // structurally identical problem (same variables, same constraint order and
-  // types). The solver installs it by pivoting and, if the resulting basic
-  // solution is feasible, skips phase 1 entirely. An unusable basis (wrong
-  // shape, singular install, infeasible point) silently falls back to the
-  // cold two-phase solve, so warm starts never change the result -- only the
-  // pivot count. Not owned; must outlive the solve() call.
-  const std::vector<std::size_t>* warm_basis = nullptr;
-  // Capture the optimal basis into Solution::basis (off by default: the copy
-  // is wasted work for one-shot solves).
-  bool capture_basis = false;
 };
 
 // Solves the LP relaxation of `problem` (integrality is ignored here; see

@@ -5,6 +5,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/parse.h"
+
 namespace wasp::net {
 
 void TraceBandwidth::add_sample(SiteId from, SiteId to, double t,
@@ -45,6 +47,20 @@ std::vector<std::pair<SiteId, SiteId>> TraceBandwidth::links() const {
   return out;
 }
 
+bool TraceBandwidth::fits(std::size_t num_sites, std::string* error) const {
+  for (const auto& [link, series] : samples_) {
+    for (const std::int64_t site : {link.first, link.second}) {
+      if (static_cast<std::size_t>(site) >= num_sites) {
+        *error = "a sample names site " + std::to_string(site) +
+                 ", but the topology has " + std::to_string(num_sites) +
+                 " sites";
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 TraceBandwidth load_bandwidth_trace(std::istream& in, std::string* error) {
   TraceBandwidth trace;
   if (error != nullptr) error->clear();
@@ -58,22 +74,19 @@ TraceBandwidth load_bandwidth_trace(std::istream& in, std::string* error) {
     }
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
 
+    // time_sec,from_site,to_site,factor: whole, finite cells.
     std::istringstream fields(line);
-    std::string cell;
-    double values[4];
+    std::string cells[4];
+    double t = 0.0, factor = 0.0;
+    int from = 0, to = 0;
     bool ok = true;
-    for (int i = 0; i < 4; ++i) {
-      if (!std::getline(fields, cell, ',')) {
-        ok = false;
-        break;
-      }
-      try {
-        values[i] = std::stod(cell);
-      } catch (...) {
-        ok = false;
-        break;
-      }
+    for (std::string& cell : cells) {
+      ok = ok && std::getline(fields, cell, ',');
+      cell = trim_blanks(cell);
     }
+    ok = ok && try_parse_number(cells[0], &t) &&
+         try_parse_number(cells[1], &from) && try_parse_number(cells[2], &to) &&
+         try_parse_number(cells[3], &factor);
     if (!ok) {
       // A non-numeric first line is accepted as a header.
       if (line_no == 1) continue;
@@ -83,15 +96,13 @@ TraceBandwidth load_bandwidth_trace(std::istream& in, std::string* error) {
       }
       return TraceBandwidth{};
     }
-    if (values[3] < 0.0 || values[1] < 0.0 || values[2] < 0.0) {
+    if (factor < 0.0 || from < 0 || to < 0) {
       if (error != nullptr) {
         *error = "negative value on trace line " + std::to_string(line_no);
       }
       return TraceBandwidth{};
     }
-    trace.add_sample(SiteId(static_cast<std::int64_t>(values[1])),
-                     SiteId(static_cast<std::int64_t>(values[2])), values[0],
-                     values[3]);
+    trace.add_sample(SiteId(from), SiteId(to), t, factor);
   }
   return trace;
 }

@@ -39,6 +39,10 @@ class TraceBandwidth final : public BandwidthModel {
   // Every (from, to) pair with at least one sample.
   [[nodiscard]] std::vector<std::pair<SiteId, SiteId>> links() const;
 
+  // False, with a message in *error, when a sample names a site at or above
+  // `num_sites` (a row the network would never consult).
+  [[nodiscard]] bool fits(std::size_t num_sites, std::string* error) const;
+
  private:
   // (from, to) -> time-sorted (t, factor) samples.
   std::map<std::pair<std::int64_t, std::int64_t>,

@@ -72,11 +72,8 @@ struct PlacementOutcome {
   //               scale; traces omit the field for it).
   //   kDirect  -- the structured direct solve: the folded placement ILP is a
   //               box-constrained single-equality program, solved exactly by
-  //               greedy fill (default at scale).
-  //   kRounded -- LP-rounding fallback after a tripped B&B node budget;
-  //               feasible but possibly suboptimal (trace field
-  //               `rounded=true`).
-  enum class Method { kExact, kDirect, kRounded };
+  //               greedy fill (every placement at 33 sites and above).
+  enum class Method { kExact, kDirect };
 
   StagePlacement placement;
   double objective = 0.0;  // traffic-weighted delay (ms-weighted tasks)

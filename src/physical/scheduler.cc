@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 
 #include "common/units.h"
 #include "ilp/branch_and_bound.h"
@@ -12,9 +11,16 @@
 namespace wasp::physical {
 namespace {
 
+// Below this site count the legacy exact branch & bound places every stage
+// (bit-identical placements, the paper-testbed contract). At or above it the
+// greedy direct solve does, which is exact for every program
+// build_placement_ilp produces (see solve_direct), and stages also consult
+// the previous epoch's placement cache (DESIGN.md §14).
+constexpr std::size_t kDirectSolveMinSites = 33;
+
 // The Eq. 1-5 placement program, built once and handed to whichever solve
-// path (exact B&B, direct greedy, budgeted B&B, LP rounding) the scheduler
-// picks. `vars[s]` is the problem variable for site s.
+// path (exact B&B or direct greedy) the scheduler picks. `vars[s]` is the
+// problem variable for site s.
 struct BuiltIlp {
   lp::Problem problem;
   std::vector<std::size_t> vars;
@@ -126,8 +132,8 @@ std::optional<BuiltIlp> build_placement_ilp(
 }
 
 // Builds and solves the Eq. 1-5 ILP via branch & bound. When `stats` is
-// non-null it receives the raw solver result (trace cost attribution and
-// budget-trip detection); early infeasibility leaves it default-initialized.
+// non-null it receives the raw solver result (trace cost attribution); early
+// infeasibility leaves it default-initialized.
 std::optional<PlacementOutcome> solve_ilp(const StageContext& ctx,
                                           const NetworkView& view,
                                           double alpha,
@@ -154,7 +160,8 @@ std::optional<PlacementOutcome> solve_ilp(const StageContext& ctx,
 }
 
 // Exact direct solve for the folded program's structure (DESIGN.md §14).
-// After bandwidth caps fold into variable bounds, the ILP is
+// build_placement_ilp folds every bandwidth cap into a variable bound, so
+// every program it builds is
 //   min Σ cost[s]·x[s]  s.t.  Σ x[s] = p,  lo[s] <= x[s] <= hi[s], integer,
 // whose optimum is the greedy fill: start every site at its floor, then
 // hand remaining tasks to sites in ascending (cost, index) order. Integral
@@ -203,86 +210,6 @@ std::optional<PlacementOutcome> solve_direct(const BuiltIlp& built,
   return outcome;
 }
 
-// LP-rounding fallback for a tripped node budget (DESIGN.md §14): solve the
-// relaxation, floor the per-site counts, then hand the deficit to sites by
-// (largest fractional part, lowest cost, lowest index) within their upper
-// bounds. LP feasibility implies Σ hi >= p, so the rounding always lands on
-// a feasible integral point; it may be suboptimal, which the `rounded`
-// trace field and PlacementOutcome::Method::kRounded record.
-std::optional<PlacementOutcome> solve_rounded(
-    const BuiltIlp& built, int parallelism,
-    const lp::SimplexOptions& lp_options) {
-  const lp::Solution relax = lp::solve(built.problem, lp_options);
-  if (!relax.optimal()) return std::nullopt;
-
-  const std::vector<double>& cost = built.problem.objective();
-  const std::vector<double>& hi = built.problem.upper_bounds();
-  const std::size_t m = built.vars.size();
-
-  PlacementOutcome outcome;
-  outcome.method = PlacementOutcome::Method::kRounded;
-  outcome.placement.per_site.resize(m, 0);
-  long long remaining = parallelism;
-  std::vector<double> frac(m, 0.0);
-  for (std::size_t s = 0; s < m; ++s) {
-    const double v = relax.values[built.vars[s]];
-    const int floor_s = static_cast<int>(std::floor(v + 1e-9));
-    outcome.placement.per_site[s] = floor_s;
-    frac[s] = v - floor_s;
-    remaining -= floor_s;
-  }
-  std::vector<std::size_t> order(m);
-  for (std::size_t s = 0; s < m; ++s) order[s] = s;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (frac[a] != frac[b]) return frac[a] > frac[b];
-    const double ca = cost[built.vars[a]];
-    const double cb = cost[built.vars[b]];
-    return ca != cb ? ca < cb : a < b;
-  });
-  // First pass hands units to fractional sites (rounding up); if the floors
-  // left a deeper deficit, later passes spill into any site with headroom.
-  while (remaining > 0) {
-    bool progressed = false;
-    for (std::size_t s : order) {
-      if (remaining == 0) break;
-      if (outcome.placement.per_site[s] <
-          static_cast<int>(std::lround(hi[built.vars[s]]))) {
-        ++outcome.placement.per_site[s];
-        --remaining;
-        progressed = true;
-      }
-    }
-    if (!progressed) return std::nullopt;  // Σ hi < p (LP was near-infeasible)
-  }
-  for (std::size_t s = 0; s < m; ++s) {
-    outcome.objective += cost[built.vars[s]] * outcome.placement.per_site[s];
-  }
-  return outcome;
-}
-
-void append_sig_int(std::string& out, std::int64_t v) {
-  char buf[sizeof(std::int64_t)];
-  std::memcpy(buf, &v, sizeof(std::int64_t));
-  out.append(buf, sizeof(std::int64_t));
-}
-
-// Warm-basis signature: everything that determines the tableau *structure*
-// (and cost geometry) of the placement LP, but none of the network values --
-// a basis from last epoch's slightly different network still installs, which
-// is the entire point of warm-starting.
-void warm_signature(std::string& sig, const StageContext& ctx,
-                    std::size_t num_sites) {
-  sig.clear();
-  append_sig_int(sig, static_cast<std::int64_t>(num_sites));
-  append_sig_int(sig, ctx.parallelism);
-  append_sig_int(sig, static_cast<std::int64_t>(ctx.upstream.size()));
-  for (const TrafficEndpoint& u : ctx.upstream) append_sig_int(sig, u.site.value());
-  append_sig_int(sig, static_cast<std::int64_t>(ctx.downstream.size()));
-  for (const TrafficEndpoint& d : ctx.downstream) append_sig_int(sig, d.site.value());
-  append_sig_int(sig, static_cast<std::int64_t>(ctx.excluded_sites.size()));
-  for (SiteId ex : ctx.excluded_sites) append_sig_int(sig, ex.value());
-}
-
 // ILP options for the reference (pre-optimization) solver stack: rescan
 // pricing in the simplex and the copy-per-node branch & bound.
 ilp::IlpOptions reference_ilp_options() {
@@ -321,13 +248,11 @@ std::optional<PlacementOutcome> Scheduler::place_stage(
         .num("lp_iterations", static_cast<double>(stats.lp_iterations));
     if (outcome.has_value()) {
       span.num("objective", outcome->objective);
-      // Non-default solve paths announce themselves; the exact B&B path
-      // (every placement at paper scale) emits no extra fields, so existing
-      // golden traces are unchanged.
+      // The direct solve announces itself; the exact B&B path (every
+      // placement at paper scale) emits no extra field, so existing golden
+      // traces are unchanged.
       if (outcome->method == PlacementOutcome::Method::kDirect) {
         span.str("method", "direct");
-      } else if (outcome->method == PlacementOutcome::Method::kRounded) {
-        span.str("method", "rounded").flag("rounded", true);
       }
     }
   };
@@ -339,11 +264,10 @@ std::optional<PlacementOutcome> Scheduler::place_stage(
     record(outcome, /*cache_hit=*/false, stats);
     return outcome;
   }
-  const std::size_t m = view.num_sites();
-  const bool at_scale = m >= config_.direct_solve_min_sites;
+  const bool at_scale = view.num_sites() >= kDirectSolveMinSites;
   placement_cache_key(key_scratch_, context, view, config_.alpha, extra_slots);
-  const auto [slot, hit] = cache_.find_or_reserve(
-      key_scratch_, /*allow_prev=*/at_scale && config_.cross_epoch_cache);
+  const auto [slot, hit] =
+      cache_.find_or_reserve(key_scratch_, /*allow_prev=*/at_scale);
   if (hit) {
     record(*slot, /*cache_hit=*/true, ilp::IlpResult{});
     return *slot;
@@ -354,78 +278,16 @@ std::optional<PlacementOutcome> Scheduler::place_stage(
     // the pre-scale-pipeline scheduler.
     *slot = solve_ilp(context, view, config_.alpha, extra_slots,
                       ilp::IlpOptions{}, tracing ? &stats : nullptr);
-  } else if (!config_.force_branch_and_bound) {
+  } else {
     // At scale the folded program is box + one equality row: the greedy
     // direct solve is exact and O(m log m) (DESIGN.md §14).
     const auto built =
         build_placement_ilp(context, view, config_.alpha, extra_slots);
     *slot = built.has_value() ? solve_direct(*built, context.parallelism)
                               : std::nullopt;
-  } else {
-    *slot = solve_budgeted(context, view, extra_slots, &stats);
   }
   record(*slot, /*cache_hit=*/false, stats);
   return *slot;
-}
-
-std::optional<PlacementOutcome> Scheduler::solve_budgeted(
-    const StageContext& context, const NetworkView& view,
-    const std::vector<int>& extra_slots, ilp::IlpResult* stats) const {
-  const auto built =
-      build_placement_ilp(context, view, config_.alpha, extra_slots);
-  if (!built.has_value()) return std::nullopt;
-
-  ilp::IlpOptions opts;
-  opts.max_nodes = budget_.limit();
-  opts.lp_options.max_iterations = config_.lp_pivot_limit;
-  const std::vector<std::size_t>* hint = nullptr;
-  if (config_.warm_start) {
-    warm_signature(sig_scratch_, context, view.num_sites());
-    const auto it = warm_bases_.find(sig_scratch_);
-    if (it != warm_bases_.end()) hint = &it->second;
-    opts.root_warm_basis = hint;
-    opts.capture_root_basis = true;
-  }
-
-  ilp::IlpResult result = ilp::solve(built->problem, built->vars, opts);
-  if (stats != nullptr) *stats = result;
-  if (config_.warm_start && !result.root_basis.empty()) {
-    warm_bases_[sig_scratch_] = std::move(result.root_basis);
-  }
-
-  // Budget accounting (AdaptiveNodeBudget; CaDiCaL Limit/Delay dynamics):
-  // a trip means either the search loop hit the node cap or subtrees were
-  // dropped by per-LP limits without yielding a proven result.
-  const bool tripped = result.status == lp::SolveStatus::kIterationLimit ||
-                       result.nodes_explored >= opts.max_nodes;
-  if (tripped) {
-    budget_.bump();
-  } else {
-    budget_.reduce();
-  }
-
-  if (result.optimal()) {
-    const std::size_t m = view.num_sites();
-    PlacementOutcome outcome;
-    outcome.placement.per_site.resize(m, 0);
-    for (std::size_t s = 0; s < m; ++s) {
-      outcome.placement.per_site[s] =
-          static_cast<int>(std::lround(result.values[built->vars[s]]));
-    }
-    outcome.objective = result.objective;
-    return outcome;
-  }
-  if (result.status != lp::SolveStatus::kIterationLimit) {
-    return std::nullopt;  // proven infeasible (or unbounded): no fallback
-  }
-  // Budget tripped without an incumbent: LP-round the relaxation so the
-  // control plane still gets a feasible placement this epoch. The fallback's
-  // one relaxation runs uncapped -- the pivot limit protects the B&B tree,
-  // and an unsolved relaxation here would leave the epoch with no placement.
-  lp::SimplexOptions lp_opts = opts.lp_options;
-  lp_opts.max_iterations = 0;
-  lp_opts.warm_basis = hint;
-  return solve_rounded(*built, context.parallelism, lp_opts);
 }
 
 std::optional<PlacementOutcome> Scheduler::place_with_min_parallelism(

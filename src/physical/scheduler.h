@@ -16,13 +16,13 @@
 // rather than the whole λ̂_I, which is what balanced partitioning actually
 // puts on the link u -> s. With a single upstream site the two coincide.
 //
-// The ILP is solved exactly with the in-repo branch & bound (src/ilp),
-// standing in for Gurobi.
+// The ILP is solved exactly, standing in for Gurobi: below 33 sites by the
+// in-repo branch & bound (src/ilp), at or above it by a greedy direct solve
+// that is exact for the folded program's shape (DESIGN.md §14).
 #pragma once
 
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
@@ -30,7 +30,6 @@
 #include "obs/trace.h"
 #include "physical/placement.h"
 #include "physical/placement_cache.h"
-#include "physical/solver_budget.h"
 
 namespace wasp::ilp {
 struct IlpResult;
@@ -81,39 +80,10 @@ class Scheduler {
     // stack and bypass the placement cache. Kept so tests can assert the
     // optimized stack returns identical placements and objectives.
     bool use_reference_solvers = false;
-
-    // --- Scale pipeline (DESIGN.md §14) ---------------------------------
-    // Below this site count the legacy exact branch & bound runs unchanged
-    // (bit-identical placements, the paper-testbed contract). At or above
-    // it, the folded ILP's structure (box bounds + one equality row) lets a
-    // greedy direct solve produce the exact optimum in O(m log m).
-    std::size_t direct_solve_min_sites = 33;
-    // Route at-scale instances through the budgeted branch & bound +
-    // LP-rounding pipeline instead of the direct solve. The general-
-    // structure fallback; tests force it to exercise budgets/rounding.
-    bool force_branch_and_bound = false;
-    // Base node budget for budgeted B&B (AdaptiveNodeBudget bump/reduce
-    // dynamics; only consulted on the force_branch_and_bound path).
-    std::size_t bb_node_budget_base = 512;
-    // Per-relaxation simplex pivot cap on the budgeted path (0 = unlimited).
-    // A pathological relaxation trips it, its subtree is dropped, and the
-    // solve falls through to LP rounding -- whose single fallback relaxation
-    // always runs uncapped (the budget guards the tree, not one LP).
-    std::size_t lp_pivot_limit = 0;
-    // Warm-start the root relaxation from the previous solve's basis for
-    // the same stage signature (at-scale B&B path only).
-    bool warm_start = true;
-    // Keep one previous epoch of the placement cache and consult it for
-    // at-scale stages: a steady-state re-plan whose inputs did not change
-    // byte-for-byte reuses last epoch's outcome instead of re-solving.
-    // Sub-scale stages never read the previous generation, so paper-
-    // testbed cache_hit trace flags are unchanged.
-    bool cross_epoch_cache = true;
   };
 
   Scheduler() = default;
-  explicit Scheduler(Config config)
-      : config_(config), budget_(config.bb_node_budget_base) {}
+  explicit Scheduler(Config config) : config_(config) {}
 
   [[nodiscard]] const Config& config() const { return config_; }
 
@@ -130,8 +100,8 @@ class Scheduler {
   // current generation becomes the previous one). Within-epoch hits are
   // guaranteed bit-identical to a fresh solve (exact-byte keying, see
   // placement_cache.h); previous-generation hits -- consulted only for
-  // at-scale stages under Config::cross_epoch_cache -- carry the same
-  // guarantee because the key covers every byte the solver reads.
+  // at-scale stages -- carry the same guarantee because the key covers every
+  // byte the solver reads.
   void begin_epoch() const { cache_.begin_epoch(); }
   [[nodiscard]] const PlacementCache::Stats& cache_stats() const {
     return cache_.stats();
@@ -158,13 +128,6 @@ class Scheduler {
       const std::vector<int>& extra_slots = {}) const;
 
  private:
-  // The at-scale general-structure pipeline (Config::force_branch_and_bound):
-  // warm-started branch & bound under the adaptive node budget, LP-rounding
-  // fallback when the budget trips without an incumbent.
-  [[nodiscard]] std::optional<PlacementOutcome> solve_budgeted(
-      const StageContext& context, const NetworkView& view,
-      const std::vector<int>& extra_slots, ilp::IlpResult* stats) const;
-
   Config config_{};
   obs::TraceEmitter* trace_ = nullptr;  // non-owning; see set_trace
   obs::Profiler* profiler_ = nullptr;   // non-owning; see set_profiler
@@ -174,16 +137,6 @@ class Scheduler {
   // Reused key buffer: probes rebuild the key in place instead of allocating
   // a fresh string each time.
   mutable std::string key_scratch_;
-  // --- Scale-pipeline state (at-scale B&B path only; see Config) --------
-  // Adaptive node budget shared by every budgeted solve this scheduler runs.
-  mutable AdaptiveNodeBudget budget_;
-  // Root-relaxation bases keyed by stage signature (parallelism + endpoint/
-  // exclusion sites -- the structure a basis transfers across). Persists
-  // across epochs; an unusable basis falls back to a cold solve inside the
-  // simplex, so stale entries cost nothing but the failed install.
-  mutable std::unordered_map<std::string, std::vector<std::size_t>>
-      warm_bases_;
-  mutable std::string sig_scratch_;  // reused signature buffer
 };
 
 }  // namespace wasp::physical

@@ -18,12 +18,24 @@ constexpr std::size_t kHelpColumn = 29;
 
 using Value = const std::string&;
 
-// "T:F" -> (T, F).
-std::pair<double, double> parse_pair(Value text) {
+double non_negative(Value text) {
+  const double value = parse_number<double>(text);
+  if (value < 0.0) throw std::invalid_argument("must be >= 0");
+  return value;
+}
+
+double positive(Value text) {
+  const double value = parse_number<double>(text);
+  if (value <= 0.0) throw std::invalid_argument("must be > 0");
+  return value;
+}
+
+// "T:F" -> (T, F), each side read by `number`.
+std::pair<double, double> parse_pair(
+    Value text, double (*number)(Value) = parse_number<double>) {
   const auto colon = text.find(':');
   if (colon == std::string::npos) throw std::invalid_argument("expected T:F");
-  return {parse_number<double>(text.substr(0, colon)),
-          parse_number<double>(text.substr(colon + 1))};
+  return {number(text.substr(0, colon)), number(text.substr(colon + 1))};
 }
 
 int at_least(int min, Value text) {
@@ -35,24 +47,21 @@ int at_least(int min, Value text) {
 }
 
 // Setters shared by several rows, one per kind of Scenario field.
-template <double Scenario::*Field>
-void set_number(Scenario& s, Value v) {
-  s.*Field = parse_number<double>(v);
-}
-
 // A source field: "none" clears it.
 template <std::string Scenario::*Field>
 void set_source(Scenario& s, Value v) {
   s.*Field = v == "none" ? std::string{} : v;
 }
 
-// "T:F[+T:F...]", appended.
+// "T:F[+T:F...]", appended; times and factors are >= 0.
 template <std::vector<std::pair<double, double>> Scenario::*Field>
 void add_steps(Scenario& s, Value v) {
   if (v.empty()) throw std::invalid_argument("expected T:F");
   std::stringstream in(v);
   std::string item;
-  while (std::getline(in, item, '+')) (s.*Field).push_back(parse_pair(item));
+  while (std::getline(in, item, '+')) {
+    (s.*Field).push_back(parse_pair(item, non_negative));
+  }
 }
 
 struct ScenarioRow {
@@ -89,11 +98,15 @@ const ScenarioRow kScenarioRows[] = {
        s.query = v;
      }},
     {"duration", "SECONDS", "simulated runtime (default 900)", "",
-     set_number<&Scenario::duration_sec>},
+     [](Scenario& s, Value v) { s.duration_sec = positive(v); }},
     {"rate", "EPS", "base events/s per source site (default 10000)", "",
-     set_number<&Scenario::rate_eps>},
+     [](Scenario& s, Value v) { s.rate_eps = non_negative(v); }},
     {"alpha", "X", "bandwidth utilization threshold (default 0.8)", "",
-     set_number<&Scenario::alpha>},
+     [](Scenario& s, Value v) {
+       const double alpha = positive(v);
+       if (alpha > 1.0) throw std::invalid_argument("must be <= 1");
+       s.alpha = alpha;
+     }},
     {"slo", "SECONDS|SPEC",
      "degrade/hybrid SLO (default 10); a SPEC such as\n"
      "delay_p99=5s,ratio_min=0.9,window=30s runs the\n"
@@ -103,7 +116,7 @@ const ScenarioRow kScenarioRows[] = {
      [](Scenario& s, Value v) {
        std::string error;
        if (v.find('=') == std::string::npos) {
-         s.slo_sec = parse_number<double>(v);
+         s.slo_sec = positive(v);
        } else if (SloSpec::parse(v, &error).has_value()) {
          s.slo_spec = v;
        } else {

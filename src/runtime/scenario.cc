@@ -116,6 +116,9 @@ std::optional<ScenarioRun> ScenarioRun::build(const Scenario& s,
     auto trace = std::make_shared<net::TraceBandwidth>(
         net::load_bandwidth_trace(in, &load_error));
     if (!load_error.empty()) return fail(kIo, load_error);
+    if (!trace->fits(topo.num_sites(), &load_error)) {
+      return fail(kUsage, s.bandwidth + ": " + load_error);
+    }
     bw_model = std::move(trace);
   }
   if (!s.bandwidth_steps.empty()) {
@@ -147,8 +150,14 @@ std::optional<ScenarioRun> ScenarioRun::build(const Scenario& s,
     auto trace = std::make_unique<workload::TraceWorkload>(
         workload::load_workload_trace(in, &load_error));
     if (!load_error.empty()) return fail(kIo, load_error);
+    std::vector<std::string> names;
     for (OperatorId src : query->sources) {
-      trace->bind_source(src, query->plan.op(src).name);
+      names.push_back(query->plan.op(src).name);
+      trace->bind_source(src, names.back());
+    }
+    if (!trace->fits(run.network->topology().num_sites(), names,
+                     &load_error)) {
+      return fail(kUsage, s.workload + ": " + load_error);
     }
     run.pattern = std::move(trace);
   } else {

@@ -6,6 +6,8 @@
 #include <set>
 #include <sstream>
 
+#include "common/parse.h"
+
 namespace wasp::workload {
 
 void TraceWorkload::add_sample(const std::string& source_name, SiteId site,
@@ -47,6 +49,26 @@ std::vector<std::string> TraceWorkload::source_names() const {
   return {names.begin(), names.end()};
 }
 
+bool TraceWorkload::fits(std::size_t num_sites,
+                         const std::vector<std::string>& source_names,
+                         std::string* error) const {
+  for (const auto& [key, series] : samples_) {
+    const auto& [name, site] = key;
+    if (std::find(source_names.begin(), source_names.end(), name) ==
+        source_names.end()) {
+      *error = "source '" + name + "' is not a source of the query";
+      return false;
+    }
+    if (static_cast<std::size_t>(site) >= num_sites) {
+      *error = "source '" + name + "' names site " + std::to_string(site) +
+               ", but the topology has " + std::to_string(num_sites) +
+               " sites";
+      return false;
+    }
+  }
+  return true;
+}
+
 TraceWorkload load_workload_trace(std::istream& in, std::string* error) {
   TraceWorkload trace;
   if (error != nullptr) error->clear();
@@ -72,12 +94,10 @@ TraceWorkload load_workload_trace(std::istream& in, std::string* error) {
       return TraceWorkload{};
     }
     double t = 0.0, rate = 0.0;
-    std::int64_t site = 0;
-    try {
-      t = std::stod(time_cell);
-      site = std::stoll(site_cell);
-      rate = std::stod(rate_cell);
-    } catch (...) {
+    int site = 0;
+    if (!try_parse_number(trim_blanks(time_cell), &t) ||
+        !try_parse_number(trim_blanks(site_cell), &site) ||
+        !try_parse_number(trim_blanks(rate_cell), &rate)) {
       if (line_no == 1) continue;  // header
       if (error != nullptr) {
         *error = "non-numeric field on workload trace line " +

@@ -42,6 +42,13 @@ class TraceWorkload final : public WorkloadPattern {
   [[nodiscard]] std::size_t num_samples() const;
   [[nodiscard]] std::vector<std::string> source_names() const;
 
+  // False, with a message in *error, when a sample names a source outside
+  // `source_names` or a site at or above `num_sites` (a row no source
+  // operator would ever read).
+  [[nodiscard]] bool fits(std::size_t num_sites,
+                          const std::vector<std::string>& source_names,
+                          std::string* error) const;
+
  private:
   // (name, site) -> time-sorted (t, rate) samples.
   std::map<std::pair<std::string, std::int64_t>,

@@ -357,5 +357,22 @@ TEST(ParseNumberTest, UnsignedRejectsNegatives) {
   EXPECT_EQ(parse_number<int>("-1"), -1);
 }
 
+TEST(ParseNumberTest, DoubleRejectsNonFinite) {
+  // std::stod reads all of these in full; a flag or trace cell must not.
+  for (const char* text : {"nan", "NaN", "-nan", "inf", "-inf", "infinity"}) {
+    SCOPED_TRACE(text);
+    EXPECT_THROW((void)parse_number<double>(text), std::invalid_argument);
+    double out = 0.0;
+    EXPECT_FALSE(try_parse_number(text, &out));
+  }
+  EXPECT_DOUBLE_EQ(parse_number<double>("-1e300"), -1e300);
+}
+
+TEST(ParseNumberTest, TrimBlanksStripsBothEnds) {
+  EXPECT_EQ(trim_blanks(" \t0.8  \r"), "0.8");
+  EXPECT_EQ(trim_blanks("a b"), "a b");
+  EXPECT_EQ(trim_blanks(" \t"), "");
+}
+
 }  // namespace
 }  // namespace wasp

@@ -71,6 +71,9 @@ TEST(FaultScheduleTest, RejectsMalformedLinesWithLineNumbers) {
   expect_error("120 explode site=1\n", "unknown event kind");
   expect_error("120 crash\n", "missing site=");
   expect_error("abc crash site=1\n", "bad time");
+  // NaN passed a `t < 0` check and the fault was never injected.
+  expect_error("nan crash site=6\n", "bad time");
+  expect_error("120 straggler site=1 factor=inf\n", "factor");
   expect_error("120 crash site=x\n", "bad site id");
   expect_error("120 flap from=1 to=0 period=12\n", "missing duration=");
   expect_error("120 straggler site=1 factor=0\n", "factor must be > 0");

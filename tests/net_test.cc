@@ -606,6 +606,29 @@ TEST(TraceIoTest, RejectsNegativeFactors) {
   EXPECT_EQ(trace.num_samples(), 0u);
 }
 
+TEST(TraceIoTest, RejectsNonFiniteAndPartialCells) {
+  // std::stod would read "nan" as NaN and "1e308x" as 1e308; both are load
+  // errors naming the line, as is a fractional site.
+  for (const char* row : {"0,0,1,nan", "0,0,1,inf", "0,0,1,0.5x",
+                          "inf,0,1,0.5", "0,0.5,1,0.5"}) {
+    SCOPED_TRACE(row);
+    std::istringstream in(std::string("0,0,1,1.0\n") + row + "\n");
+    std::string error;
+    const TraceBandwidth trace = load_bandwidth_trace(in, &error);
+    EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+    EXPECT_EQ(trace.num_samples(), 0u);
+  }
+}
+
+TEST(TraceIoTest, FitsChecksSites) {
+  TraceBandwidth trace;
+  trace.add_sample(SiteId(0), SiteId(99), 0.0, 0.5);
+  std::string error;
+  EXPECT_TRUE(trace.fits(100, &error));
+  EXPECT_FALSE(trace.fits(16, &error));
+  EXPECT_NE(error.find("site 99"), std::string::npos) << error;
+}
+
 TEST(TraceIoTest, SaveLoadRoundTrip) {
   // Generate from a random walk, save, reload, and compare at the sampled
   // times.

@@ -1,7 +1,7 @@
 // Tests for the planet-scale pipeline (DESIGN.md §14): the edge-hierarchy
-// topology generator and its spec grammar, the warm-started / budgeted /
-// LP-rounded placement stack, region-decomposed re-plans, and the bottleneck
-// max-flow migration path.
+// topology generator and its spec grammar, the at-scale direct placement
+// solve, region-decomposed re-plans, and the bottleneck max-flow migration
+// path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include "net/topology_spec.h"
 #include "physical/placement.h"
 #include "physical/scheduler.h"
-#include "physical/solver_budget.h"
 #include "state/migration.h"
 
 namespace wasp {
@@ -214,57 +213,6 @@ class TopologyView final : public physical::NetworkView {
   const net::Topology& topo_;
 };
 
-physical::StageContext testbed_stage(const net::Topology& topo,
-                                     double eps_per_source) {
-  physical::StageContext ctx;
-  ctx.parallelism = 3;
-  SiteId sink;
-  for (const auto& site : topo.sites()) {
-    if (site.type == net::SiteType::kEdge) {
-      if (ctx.upstream.size() < 4) {
-        ctx.upstream.push_back({site.id, eps_per_source, 120.0});
-      }
-    } else if (!sink.valid()) {
-      sink = site.id;
-    }
-  }
-  ctx.downstream.push_back({sink, eps_per_source, 60.0});
-  return ctx;
-}
-
-TEST(ScaleSolverTest, WarmStartIsBitIdenticalToCold) {
-  Rng rng(7);
-  const net::Topology topo = net::Topology::make_paper_testbed(rng);
-  const TopologyView view(topo);
-
-  auto config = [](bool warm) {
-    physical::Scheduler::Config c;
-    c.force_branch_and_bound = true;
-    c.direct_solve_min_sites = 1;  // treat the 16-site testbed as at-scale
-    c.warm_start = warm;
-    c.cross_epoch_cache = false;  // force a genuine re-solve every epoch
-    return c;
-  };
-  const physical::Scheduler warm(config(true));
-  const physical::Scheduler cold(config(false));
-
-  // A drifting re-plan sequence: the rate changes every epoch, so the warm
-  // scheduler re-installs the captured basis against fresh numbers.
-  for (int epoch = 0; epoch < 5; ++epoch) {
-    SCOPED_TRACE("epoch " + std::to_string(epoch));
-    warm.begin_epoch();
-    cold.begin_epoch();
-    const double eps = 4'000.0 * (1.0 + 0.01 * epoch);
-    const physical::StageContext ctx = testbed_stage(topo, eps);
-    const auto a = warm.place_stage(ctx, view);
-    const auto b = cold.place_stage(ctx, view);
-    ASSERT_EQ(a.has_value(), b.has_value());
-    ASSERT_TRUE(a.has_value());
-    EXPECT_EQ(a->objective, b->objective);  // bit-identical
-    EXPECT_EQ(a->placement, b->placement);
-  }
-}
-
 TEST(ScaleSolverTest, DirectSolveMatchesReferenceAtScale) {
   net::EdgeHierarchyParams params;
   params.edge_sites = 56;
@@ -296,60 +244,6 @@ TEST(ScaleSolverTest, DirectSolveMatchesReferenceAtScale) {
   EXPECT_EQ(got->method, physical::PlacementOutcome::Method::kDirect);
   EXPECT_EQ(got->objective, want->objective);
   EXPECT_EQ(got->placement, want->placement);
-}
-
-TEST(ScaleSolverTest, RoundingFallbackStaysFeasibleUnderTrippedBudget) {
-  Rng rng(7);
-  const net::Topology topo = net::Topology::make_paper_testbed(rng);
-  const TopologyView view(topo);
-
-  physical::Scheduler::Config config;
-  config.force_branch_and_bound = true;
-  config.direct_solve_min_sites = 1;
-  config.cross_epoch_cache = false;
-  // One-pivot relaxations trip immediately; the B&B finishes with no
-  // incumbent and the scheduler must fall through to LP rounding.
-  config.lp_pivot_limit = 1;
-  const physical::Scheduler scheduler(config);
-
-  const physical::StageContext ctx = testbed_stage(topo, 4'000.0);
-  const auto outcome = scheduler.place_stage(ctx, view);
-  ASSERT_TRUE(outcome.has_value());
-  EXPECT_EQ(outcome->method, physical::PlacementOutcome::Method::kRounded);
-
-  // The rounded placement is feasible: exact task total, slot bounds kept.
-  EXPECT_EQ(outcome->placement.parallelism(), ctx.parallelism);
-  for (std::size_t s = 0; s < outcome->placement.per_site.size(); ++s) {
-    const SiteId site(static_cast<std::int64_t>(s));
-    EXPECT_GE(outcome->placement.per_site[s], 0);
-    EXPECT_LE(outcome->placement.per_site[s], view.available_slots(site));
-  }
-
-  // Same instance, uncapped: the exact optimum. Rounding may tie but can
-  // never beat it.
-  physical::Scheduler::Config exact_config = config;
-  exact_config.lp_pivot_limit = 0;
-  const physical::Scheduler exact(exact_config);
-  const auto best = exact.place_stage(ctx, view);
-  ASSERT_TRUE(best.has_value());
-  EXPECT_EQ(best->method, physical::PlacementOutcome::Method::kExact);
-  EXPECT_GE(outcome->objective, best->objective - 1e-9);
-}
-
-TEST(AdaptiveNodeBudgetTest, BumpAndReduceDynamics) {
-  physical::AdaptiveNodeBudget budget(512);
-  EXPECT_EQ(budget.limit(), 512u);
-  budget.bump();  // trip: interval 0 -> 1
-  EXPECT_EQ(budget.limit(), 1024u);
-  budget.bump();  // trip: interval 1 -> 2
-  EXPECT_EQ(budget.limit(), 512u * 3);
-  budget.reduce();  // clean finish: interval 2 -> 1
-  EXPECT_EQ(budget.limit(), 1024u);
-  budget.reduce();
-  budget.reduce();  // decays back to (and stays at) the base
-  EXPECT_EQ(budget.limit(), 512u);
-  for (int i = 0; i < 40; ++i) budget.bump();
-  EXPECT_EQ(budget.limit(), 512u * (1 + 1024));  // capped interval
 }
 
 // A two-region clique: sites 0-3 are region A, 4-7 region B. In-region

@@ -228,6 +228,36 @@ TEST(TraceWorkloadTest, RejectsMalformedAndNegative) {
   }
 }
 
+TEST(TraceWorkloadTest, RejectsNonFiniteAndPartialCells) {
+  // std::stod would read "1e308x" as 1e308 and "nan" as NaN; both are load
+  // errors naming the line, as is a fractional site.
+  for (const char* row : {"0,tweets,8,nan", "0,tweets,8,1e308x",
+                          "0,tweets,8,inf", "nan,tweets,8,5", "0,tweets,8.5,5"}) {
+    SCOPED_TRACE(row);
+    std::istringstream in(std::string("0,tweets,8,1000\n") + row + "\n");
+    std::string error;
+    const TraceWorkload t = load_workload_trace(in, &error);
+    EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+    EXPECT_EQ(t.num_samples(), 0u);
+  }
+  // Blanks around a cell are not part of the number.
+  std::istringstream in("0, tweets,8 , 1000\r\n");
+  std::string error;
+  EXPECT_EQ(load_workload_trace(in, &error).num_samples(), 1u);
+  EXPECT_EQ(error, "");
+}
+
+TEST(TraceWorkloadTest, FitsChecksSourceNamesAndSites) {
+  TraceWorkload trace;
+  trace.add_sample("tweets-east", SiteId(8), 0.0, 1'000.0);
+  std::string error;
+  EXPECT_TRUE(trace.fits(16, {"tweets-east", "tweets-west"}, &error));
+  EXPECT_FALSE(trace.fits(8, {"tweets-east"}, &error));
+  EXPECT_NE(error.find("site 8"), std::string::npos) << error;
+  EXPECT_FALSE(trace.fits(16, {"clicks"}, &error));
+  EXPECT_NE(error.find("'tweets-east'"), std::string::npos) << error;
+}
+
 TEST(TraceWorkloadTest, SaveLoadRoundTrip) {
   SteppedWorkload original;
   original.set_base_rate(OperatorId(0), SiteId(2), 10'000.0);

@@ -19,9 +19,11 @@
 #include <iostream>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "obs/trace_analysis.h"
 
 namespace {
@@ -201,10 +203,19 @@ int cmd_spans(const std::vector<std::string>& args) {
   std::optional<double> want_op;
   std::string path;
   for (const std::string& arg : args) {
-    if (arg.rfind("--id=", 0) == 0) {
-      want_id = std::strtoull(arg.c_str() + 5, nullptr, 10);
-    } else if (arg.rfind("--op=", 0) == 0) {
-      want_op = std::strtod(arg.c_str() + 5, nullptr);
+    const bool is_id = arg.rfind("--id=", 0) == 0;
+    if (is_id || arg.rfind("--op=", 0) == 0) {
+      try {
+        if (is_id) {
+          want_id = wasp::parse_number<std::uint64_t>(arg.substr(5));
+        } else {
+          want_op = wasp::parse_number<double>(arg.substr(5));
+        }
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "invalid value in %s: %s\n", arg.c_str(),
+                     e.what());
+        return 2;
+      }
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       return 2;
