@@ -129,8 +129,10 @@ double estimate_plan_cost(
   // plans must lose to feasible ones regardless of latency.
   constexpr double kOverloadPenalty = 1e6;
   double cost = 0.0;
-  // Aggregate demand per directed link first (edges can share links).
-  std::unordered_map<std::int64_t, double> link_demand_mbps;
+  // (link key, demand) of every cross-site share in visit order. Edges can
+  // share links: a stable sort by key groups each link's demands (summed in
+  // visit order), and the penalties add into `cost` in link-key order.
+  std::vector<std::pair<std::int64_t, double>> link_demands;
   const auto n = static_cast<std::int64_t>(view.num_sites());
 
   for (const auto& op : logical.operators()) {
@@ -154,14 +156,22 @@ double estimate_plan_cost(
           if (eps <= 0.0) continue;
           cost += eps * view.latency_ms(su, sd) / 1e3;
           if (su != sd) {
-            link_demand_mbps[su.value() * n + sd.value()] +=
-                stream_mbps(eps, op.output_event_bytes);
+            link_demands.emplace_back(su.value() * n + sd.value(),
+                                      stream_mbps(eps, op.output_event_bytes));
           }
         }
       }
     }
   }
-  for (const auto& [key, demand] : link_demand_mbps) {
+  std::stable_sort(
+      link_demands.begin(), link_demands.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (std::size_t i = 0; i < link_demands.size();) {
+    const std::int64_t key = link_demands[i].first;
+    double demand = 0.0;
+    for (; i < link_demands.size() && link_demands[i].first == key; ++i) {
+      demand += link_demands[i].second;
+    }
     const SiteId from(key / n), to(key % n);
     const double limit = alpha * view.available_mbps(from, to);
     if (demand > limit && limit >= 0.0) {

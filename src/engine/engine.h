@@ -318,13 +318,15 @@ class Engine {
 
   void build_runtime();
   void teardown_channels();
+  // Capacity for `n` channels (and as many network flows); no size change.
+  void reserve_channels(std::size_t n);
   // Appends one channel (creating its network flow when cross-site) to the
   // parallel arrays. Indexes are stale until rebuild_channel_indexes().
   void append_channel(std::size_t from_stage, std::size_t to_stage, SiteId su,
                       SiteId sd, double event_bytes, double queue,
                       double delivered, double delivered_prev);
-  // Rebuilds the CSR adjacency indexes, cached flow pointers and link rows,
-  // and the precomputed routing shares after any change to the channel set.
+  // Rebuilds the CSR adjacency indexes, link rows and latency mirror, and
+  // the precomputed routing shares after any change to the channel set.
   void rebuild_channel_indexes();
   // Recomputes c_share_ only (placement/skew changed, channels did not).
   void recompute_channel_shares();
@@ -408,7 +410,11 @@ class Engine {
   std::vector<double> c_delivered_prev_;
   std::vector<double> c_event_bytes_;  // mirror of chan_[i].event_bytes
   std::vector<double> c_share_;        // precomputed routing share
-  std::vector<net::Flow*> c_flow_;  // null for intra-site channels
+  // Network flow slot (index into the flow table fetched each tick), fixed
+  // for the channel's life; net::kNoSlot for intra-site channels.
+  std::vector<net::FlowSlot> c_flow_;
+  // latency_ms(from_site, to_site), mirrored for the delay DP.
+  std::vector<double> c_latency_ms_;
   std::vector<std::int32_t> c_to_stage_;  // mirror for the reset kernel
 
   // Hosting sites per stage (ascending site index), rebuilt with every
@@ -432,6 +438,10 @@ class Engine {
   // The network's link table as of this tick (fetched at tick start, never
   // stale: see Network::links), indexed by chan_[ci].link.
   const net::Link* links_ = nullptr;
+  // The network's flow table as of this tick, indexed by c_flow_. Flows
+  // added between ticks (migrations, standby syncs) can move it, so it is
+  // re-fetched at every tick start and never kept across ticks.
+  net::Flow* flow_table_ = nullptr;
 
   // Fused deliver+process of one hosting site of a stage; returns the
   // events it processed and sets *backpressured when an outbound channel

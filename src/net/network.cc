@@ -30,10 +30,15 @@ Network::Network(Topology topology, std::shared_ptr<const BandwidthModel> model)
 }
 
 double Network::capacity(SiteId from, SiteId to, double t) const {
+  return link_capacity(from, to, topology_.base_bandwidth(from, to), t);
+}
+
+double Network::link_capacity(SiteId from, SiteId to, double base_mbps,
+                              double t) const {
   if (link_partitioned(from, to) || site_down(from) || site_down(to)) {
     return 0.0;
   }
-  return topology_.base_bandwidth(from, to) * model_->factor(from, to, t);
+  return base_mbps * model_->factor(from, to, t);
 }
 
 void Network::set_link_partitioned(SiteId from, SiteId to, bool partitioned) {
@@ -77,33 +82,49 @@ std::int32_t Network::acquire_link(SiteId from, SiteId to) {
     }
     const std::int32_t row = free_links_.back();
     free_links_.pop_back();
-    links_[static_cast<std::size_t>(row)] = Link{from, to, {}};
+    links_[static_cast<std::size_t>(row)] =
+        Link{from, to, topology_.base_bandwidth(from, to)};
     it = rows.insert(it, {to.value(), row});
   }
   ++links_[static_cast<std::size_t>(it->second)].refs;
   return it->second;
 }
 
+void Network::insert_flow(const Flow& flow) {
+  FlowSlot slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<FlowSlot>(flows_.size());
+    flows_.push_back(flow);
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    flows_[slot] = flow;
+  }
+  by_id_.emplace_back(flow.id, slot);
+  if (flow.kind == FlowKind::kBulk) bulk_.push_back(slot);
+  flows_dirty_ = links_stale_ = true;
+}
+
 FlowId Network::add_stream_flow(SiteId from, SiteId to) {
   const FlowId id(next_flow_id_++);
-  flows_.emplace(id, Flow{id, from, to, FlowKind::kStream, 0.0, 0.0, 0.0,
-                          false, acquire_link(from, to)});
-  flows_dirty_ = links_stale_ = true;
+  insert_flow(Flow{id, from, to, 0.0, 0.0, 0.0, acquire_link(from, to),
+                   FlowKind::kStream, false});
   return id;
 }
 
 FlowId Network::add_bulk_flow(SiteId from, SiteId to, double size_mb) {
   const FlowId id(next_flow_id_++);
-  flows_.emplace(id, Flow{id, from, to, FlowKind::kBulk, 0.0, 0.0, size_mb,
-                          size_mb <= 0.0, acquire_link(from, to)});
-  flows_dirty_ = links_stale_ = true;
+  insert_flow(Flow{id, from, to, 0.0, 0.0, size_mb, acquire_link(from, to),
+                   FlowKind::kBulk, size_mb <= 0.0});
   return id;
 }
 
 void Network::remove_flow(FlowId id) {
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) return;
-  if (const std::int32_t l = it->second.link; l >= 0) {
+  const std::size_t at = id_index(id);
+  if (at == by_id_.size() || by_id_[at].second == kNoSlot) return;
+  const FlowSlot slot = by_id_[at].second;
+  Flow& flow = flows_[slot];
+  if (const std::int32_t l = flow.link; l >= 0) {
     Link& link = links_[static_cast<std::size_t>(l)];
     if (--link.refs == 0) {
       auto& rows = rows_from_[static_cast<std::size_t>(link.from.value())];
@@ -111,44 +132,85 @@ void Network::remove_flow(FlowId id) {
       free_links_.push_back(l);
     }
   }
-  flows_.erase(it);
+  if (flow.kind == FlowKind::kBulk) {
+    bulk_.erase(std::find(bulk_.begin(), bulk_.end(), slot));
+  }
+  flow = Flow{};
+  free_slots_.push_back(slot);
+  by_id_[at].second = kNoSlot;
+  // Keep the id index within twice the live flows between regroups.
+  if (++removed_ids_ > by_id_.size() / 2) compact_ids();
   flows_dirty_ = links_stale_ = true;
 }
 
+void Network::compact_ids() {
+  std::erase_if(by_id_, [](const auto& e) { return e.second == kNoSlot; });
+  removed_ids_ = 0;
+}
+
 void Network::regroup() {
-  for (Link& link : links_) link.flows.clear();
+  if (removed_ids_ > 0) compact_ids();
+  // Counting sort of the id-ordered flows by row: each row's range comes
+  // out in ascending id order.
+  row_off_.assign(links_.size() + 1, 0);
   local_flows_.clear();
-  for (auto& [id, f] : flows_) {
-    if (f.link < 0) {
-      local_flows_.push_back(&f);
+  for (const auto& [id, slot] : by_id_) {
+    const std::int32_t l = flows_[slot].link;
+    if (l < 0) {
+      local_flows_.push_back(slot);
     } else {
-      links_[static_cast<std::size_t>(f.link)].flows.push_back(&f);
+      ++row_off_[static_cast<std::size_t>(l) + 1];
     }
+  }
+  for (std::size_t r = 0; r < links_.size(); ++r) {
+    row_off_[r + 1] += row_off_[r];
+  }
+  row_fill_.assign(row_off_.begin(), row_off_.end() - 1);
+  row_flows_.resize(row_off_.back());
+  for (const auto& [id, slot] : by_id_) {
+    const std::int32_t l = flows_[slot].link;
+    if (l >= 0) row_flows_[row_fill_[static_cast<std::size_t>(l)]++] = slot;
   }
   flows_dirty_ = false;
 }
 
-const Flow& Network::flow(FlowId id) const {
-  auto it = flows_.find(id);
-  assert(it != flows_.end());
-  return it->second;
+std::size_t Network::id_index(FlowId id) const {
+  // Ids are issued in increasing order, so while no entry newer than `id`
+  // has been compacted away, its entry sits (newest id - id) places from
+  // the end: the common case of a lookup just after an add, and of removing
+  // flows oldest first.
+  const std::int64_t back = next_flow_id_ - 1 - id.value();
+  if (back >= 0 && back < static_cast<std::int64_t>(by_id_.size())) {
+    const std::size_t at = by_id_.size() - 1 - static_cast<std::size_t>(back);
+    if (by_id_[at].first == id) return at;
+  }
+  const auto it = std::lower_bound(
+      by_id_.begin(), by_id_.end(), id,
+      [](const auto& entry, FlowId key) { return entry.first < key; });
+  return it != by_id_.end() && it->first == id
+             ? static_cast<std::size_t>(it - by_id_.begin())
+             : by_id_.size();
 }
 
-Flow* Network::flow_slot(FlowId id) {
-  auto it = flows_.find(id);
-  assert(it != flows_.end());
-  return &it->second;
+FlowSlot Network::find_slot(FlowId id) const {
+  const std::size_t at = id_index(id);
+  return at == by_id_.size() ? kNoSlot : by_id_[at].second;
 }
 
-bool Network::has_flow(FlowId id) const { return flows_.contains(id); }
+std::span<const FlowSlot> Network::link_flows(std::int32_t row) {
+  if (flows_dirty_) regroup();
+  const auto r = static_cast<std::size_t>(row);
+  return {row_flows_.data() + row_off_[r], row_off_[r + 1] - row_off_[r]};
+}
 
-void Network::waterfill(std::vector<Flow*>& active_scratch, double capacity) {
+void Network::waterfill(Flow* flows, std::span<FlowSlot> active_scratch,
+                        double capacity) {
   // Classic progressive filling. Bulk flows have unbounded demand and end up
   // with an equal split of whatever streams leave unused. The working set is
   // compacted in place (stably, so the fill order matches the input order):
   // no allocation after warm-up.
   double remaining = capacity;
-  for (Flow* f : active_scratch) f->allocated_mbps = 0.0;
+  for (const FlowSlot s : active_scratch) flows[s].allocated_mbps = 0.0;
 
   std::size_t active = active_scratch.size();
   while (active > 0 && remaining > 1e-12) {
@@ -156,16 +218,16 @@ void Network::waterfill(std::vector<Flow*>& active_scratch, double capacity) {
     bool anyone_satisfied = false;
     std::size_t kept = 0;
     for (std::size_t i = 0; i < active; ++i) {
-      Flow* f = active_scratch[i];
-      const bool bounded = f->kind == FlowKind::kStream;
-      const double want = bounded ? f->demand_mbps - f->allocated_mbps
+      Flow& f = flows[active_scratch[i]];
+      const bool bounded = f.kind == FlowKind::kStream;
+      const double want = bounded ? f.demand_mbps - f.allocated_mbps
                                   : std::numeric_limits<double>::infinity();
       if (bounded && want <= share) {
-        f->allocated_mbps += want;
+        f.allocated_mbps += want;
         remaining -= want;
         anyone_satisfied = true;
       } else {
-        active_scratch[kept++] = f;
+        active_scratch[kept++] = active_scratch[i];
       }
     }
     active = kept;
@@ -173,7 +235,7 @@ void Network::waterfill(std::vector<Flow*>& active_scratch, double capacity) {
       // Everyone wants at least the equal share: split evenly and stop.
       const double each = remaining / static_cast<double>(active);
       for (std::size_t i = 0; i < active; ++i) {
-        active_scratch[i]->allocated_mbps += each;
+        flows[active_scratch[i]].allocated_mbps += each;
       }
       remaining = 0.0;
       break;
@@ -183,23 +245,36 @@ void Network::waterfill(std::vector<Flow*>& active_scratch, double capacity) {
 
 void Network::fill_links(double t, bool solve) {
   if (flows_dirty_) regroup();
-  // Rows are independent; each is computed with its flows in list order.
-  for (Link& link : links_) {
-    if (link.flows.empty()) continue;  // free row
-    link.capacity = capacity(link.from, link.to, t);
-    if (solve) {
-      wf_active_.clear();
-      for (Flow* f : link.flows) {
-        if (f->kind == FlowKind::kBulk && f->done) {
-          f->allocated_mbps = 0.0;
-        } else {
-          wf_active_.push_back(f);
-        }
-      }
-      if (!wf_active_.empty()) waterfill(wf_active_, link.capacity);
-    }
+  Flow* const flows = flows_.data();
+  // Rows are independent; each is computed with its flows in id order.
+  for (std::size_t r = 0; r < links_.size(); ++r) {
+    const FlowSlot* const begin = row_flows_.data() + row_off_[r];
+    const FlowSlot* const end = row_flows_.data() + row_off_[r + 1];
+    if (begin == end) continue;  // free row
+    Link& link = links_[r];
+    link.capacity = link_capacity(link.from, link.to, link.base_mbps, t);
     double allocated = 0.0;
-    for (const Flow* f : link.flows) allocated += f->allocated_mbps;
+    if (end - begin == 1) {  // ~all rows of a large clique
+      Flow& f = flows[*begin];
+      if (solve) f.allocated_mbps = one_flow_share(f, link.capacity);
+      allocated += f.allocated_mbps;
+    } else {
+      if (solve) {
+        wf_active_.clear();
+        for (const FlowSlot* p = begin; p != end; ++p) {
+          Flow& f = flows[*p];
+          if (f.kind == FlowKind::kBulk && f.done) {
+            f.allocated_mbps = 0.0;
+          } else {
+            wf_active_.push_back(*p);
+          }
+        }
+        if (!wf_active_.empty()) waterfill(flows, wf_active_, link.capacity);
+      }
+      for (const FlowSlot* p = begin; p != end; ++p) {
+        allocated += flows[*p].allocated_mbps;
+      }
+    }
     link.allocated = allocated;
     link.headroom = std::max(0.0, link.capacity - allocated);
   }
@@ -220,27 +295,30 @@ std::int32_t Network::link_id(SiteId from, SiteId to) const {
 
 void Network::step(double t, double dt) {
   fill_links(t, /*solve=*/true);  // regroups local_flows_ too
-  for (Flow* f : local_flows_) {
-    if ((f->kind == FlowKind::kBulk && f->done) || site_down(f->from)) {
-      f->allocated_mbps = 0.0;
+  for (const FlowSlot s : local_flows_) {
+    Flow& f = flows_[s];
+    if ((f.kind == FlowKind::kBulk && f.done) || site_down(f.from)) {
+      f.allocated_mbps = 0.0;
     } else {
-      f->allocated_mbps = f->kind == FlowKind::kStream ? f->demand_mbps
-                                                       : kLocalBandwidthMbps;
+      f.allocated_mbps = f.kind == FlowKind::kStream ? f.demand_mbps
+                                                     : kLocalBandwidthMbps;
     }
   }
 
   const bool tracing = trace_ != nullptr && trace_->enabled();
   if (tracing) {
-    for (const Link& link : links_) {
+    for (std::size_t r = 0; r < links_.size(); ++r) {
       double stream_mbps = 0.0, bulk_mbps = 0.0;
       std::size_t active = 0;
-      for (const Flow* f : link.flows) {
-        if (f->kind == FlowKind::kBulk && f->done) continue;
+      for (std::uint32_t k = row_off_[r]; k < row_off_[r + 1]; ++k) {
+        const Flow& f = flows_[row_flows_[k]];
+        if (f.kind == FlowKind::kBulk && f.done) continue;
         ++active;
-        (f->kind == FlowKind::kStream ? stream_mbps : bulk_mbps) +=
-            f->allocated_mbps;
+        (f.kind == FlowKind::kStream ? stream_mbps : bulk_mbps) +=
+            f.allocated_mbps;
       }
       if (active == 0) continue;
+      const Link& link = links_[r];
       trace_->event_at(t, "link_alloc")
           .num("from_site", static_cast<double>(link.from.value()))
           .num("to_site", static_cast<double>(link.to.value()))
@@ -251,16 +329,17 @@ void Network::step(double t, double dt) {
     }
   }
 
-  // Advance bulk transfers.
-  for (auto& [id, f] : flows_) {
-    if (f.kind != FlowKind::kBulk || f.done) continue;
+  // Advance bulk transfers, in id order.
+  for (const FlowSlot s : bulk_) {
+    Flow& f = flows_[s];
+    if (f.done) continue;
     f.remaining_mb -= mbps_to_mb_per_sec(f.allocated_mbps) * dt;
     if (f.remaining_mb <= 1e-9) {
       f.remaining_mb = 0.0;
       f.done = true;
       if (tracing) {
         trace_->event_at(t, "bulk_done")
-            .num("flow", static_cast<double>(id.value()))
+            .num("flow", static_cast<double>(f.id.value()))
             .num("from_site", static_cast<double>(f.from.value()))
             .num("to_site", static_cast<double>(f.to.value()));
       }
@@ -269,11 +348,8 @@ void Network::step(double t, double dt) {
 }
 
 std::size_t Network::num_bulk_flows() const {
-  std::size_t count = 0;
-  for (const auto& [id, f] : flows_) {
-    if (f.kind == FlowKind::kBulk && !f.done) ++count;
-  }
-  return count;
+  return static_cast<std::size_t>(std::count_if(
+      bulk_.begin(), bulk_.end(), [&](FlowSlot s) { return !flows_[s].done; }));
 }
 
 double Network::link_allocated(SiteId from, SiteId to) {
@@ -282,9 +358,10 @@ double Network::link_allocated(SiteId from, SiteId to) {
     return id < 0 ? 0.0
                   : links(links_t_)[static_cast<std::size_t>(id)].allocated;
   }
+  if (flows_dirty_) regroup();
   double total = 0.0;
-  for (const auto& [id, f] : flows_) {
-    if (f.from == from && f.to == to) total += f.allocated_mbps;
+  for (const FlowSlot s : local_flows_) {
+    if (flows_[s].from == from) total += flows_[s].allocated_mbps;
   }
   return total;
 }

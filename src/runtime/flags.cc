@@ -164,7 +164,12 @@ const ScenarioRow kScenarioRows[] = {
      "scale every link by F at time T (repeatable)", "",
      add_steps<&Scenario::bandwidth_steps>},
     {"fail", "T:DURATION", "revoke all compute at T for DURATION seconds", "",
-     [](Scenario& s, Value v) { s.failure = parse_pair(v); }},
+     [](Scenario& s, Value v) {
+       const auto [at, duration] = parse_pair(v);
+       if (at < 0.0) throw std::invalid_argument("T must be >= 0");
+       if (duration <= 0.0) throw std::invalid_argument("DURATION must be > 0");
+       s.failure = {at, duration};
+     }},
     {"fault-schedule", "FILE",
      "replay a scripted chaos schedule: crash / restore /\n"
      "partition / heal / flap / straggler / stall lines\n"

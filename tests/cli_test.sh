@@ -10,6 +10,9 @@
 #   cli_test.sh help_rows <wasp_sim> <wasp_sweep> <bench_driver>
 #       Every row a tool's --help lists is accepted by that tool, and a row
 #       the tools share prints the same help block in each of them.
+#   cli_test.sh fail_range <wasp_sim>
+#       --fail=T:DURATION refuses T < 0 and DURATION <= 0 with exit 2 and
+#       the row's error, instead of running with no (or an empty) outage.
 set -u
 
 WORK="$(mktemp -d)"
@@ -87,6 +90,20 @@ case "$1" in
       }
     done
     [ "${status}" = 0 ] && echo "help rows: $# tools, every listed row accepted"
+    exit "${status}"
+    ;;
+  fail_range)
+    SIM="$2"
+    status=0
+    for arg in --fail=-100:50 --fail=100:-50 --fail=100:0; do
+      "${SIM}" "${arg}" --duration=60 > /dev/null 2> "${WORK}/err"
+      rc=$?
+      if [ "${rc}" != 2 ] || ! grep -q "invalid value in ${arg}" "${WORK}/err"; then
+        echo "${arg}: exit ${rc}, stderr: $(cat "${WORK}/err")"
+        status=1
+      fi
+    done
+    [ "${status}" = 0 ] && echo "--fail: negative start and non-positive duration refused"
     exit "${status}"
     ;;
   *)

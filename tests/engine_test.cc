@@ -8,7 +8,10 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "engine/delay_tracker.h"
 #include "net/bandwidth_model.h"
 #include "net/network.h"
@@ -391,6 +394,52 @@ TEST(EngineTest, PlacementBetweenStepAndTickSeesLiveCapacity) {
   changed.run(5.0, 10.0, 200'000.0);
   reference.run(5.0, 10.0, 200'000.0);
   ExpectSameEngineState(changed, reference);
+}
+
+// Other owners (migrations, standby syncs) add and remove bulk flows
+// between ticks, and enough adds move the network's flow table. The engine
+// keeps flow slots, not pointers, and re-reads the table each tick, so it
+// matches a twin whose table never moved, bit for bit -- across a rewire
+// that puts its own flows into reused slots, too.
+TEST(EngineTest, FlowTableGrowthBetweenTicksChangesNothing) {
+  // 20 Mbps links: the source's output exceeds the 0 -> 1 link, so the
+  // engine's reads of allocations and headroom decide its results.
+  Fixture churned(20.0), reference(20.0);
+  // Links and sites the pipeline never uses, before or after the move.
+  const std::pair<int, int> spare[] = {{2, 0}, {2, 1}, {1, 0}, {1, 1}, {2, 2}};
+  Rng rng(3);
+  std::vector<FlowId> others;
+  bool moved = false;
+  for (int tick = 1; tick <= 30; ++tick) {
+    const net::Flow* const before = churned.network.flow_table();
+    for (int k = 0; k < 40; ++k) {
+      const auto& [from, to] = spare[rng.uniform_int(0, 4)];
+      others.push_back(churned.network.add_bulk_flow(
+          SiteId(from), SiteId(to), rng.uniform(0.0, 50.0)));
+    }
+    for (int k = 0; k < 20; ++k) {  // later adds reuse these slots
+      const auto i = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(others.size()) - 1));
+      churned.network.remove_flow(others[i]);
+      others.erase(others.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    moved = moved || churned.network.flow_table() != before;
+    if (tick == 15) {  // map 1 -> 0: the channel to the sink moves to 0 -> 2
+      for (Fixture* f : {&churned, &reference}) {
+        f->engine->apply_placement(f->map_id,
+                                   StagePlacement{.per_site = {1, 0, 0}});
+      }
+    }
+    for (Fixture* f : {&churned, &reference}) {
+      f->engine->set_source_rate(f->src_id, SiteId(0), 200'000.0);
+      f->network.step(tick, 1.0);
+      f->engine->tick(tick);
+    }
+    ExpectSameEngineState(churned, reference);
+  }
+  EXPECT_TRUE(moved);
+  EXPECT_GT(churned.network.num_flows(), 500u);
+  EXPECT_GT(churned.engine->op_metrics(churned.sink_id).processed_eps, 0.0);
 }
 
 TEST(EngineTest, MigrationSeedsChannelDrainEstimate) {

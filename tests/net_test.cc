@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -297,6 +298,121 @@ TEST(NetworkTest, NumBulkFlowsTracksOutstandingTransfers) {
   EXPECT_EQ(net.num_bulk_flows(), 0u);
 }
 
+// The closed form of a one-flow row against the general progressive fill,
+// bit for bit: capacities around the 1e-12 cutoff, zero and boundary
+// demands, finished and unfinished bulk flows.
+TEST(NetworkTest, OneFlowShareMatchesWaterfillBitForBit) {
+  Rng rng(20261018);
+  for (int i = 0; i < 20000; ++i) {
+    const double u = rng.uniform();
+    const double capacity = u < 0.1    ? 0.0
+                            : u < 0.2  ? 1e-12
+                            : u < 0.3  ? rng.uniform(0.0, 3e-12)
+                            : u < 0.35 ? std::nextafter(1e-12, 1.0)
+                                       : rng.uniform(0.0, 500.0);
+    Flow f;
+    f.kind = rng.uniform() < 0.5 ? FlowKind::kStream : FlowKind::kBulk;
+    if (f.kind == FlowKind::kStream) {
+      const double d = rng.uniform();
+      Network::set_stream_demand(f, d < 0.15   ? 0.0
+                                    : d < 0.3  ? capacity
+                                    : d < 0.35 ? -rng.uniform(0.0, 5.0)
+                                               : rng.uniform(0.0, 2.0 * capacity));
+    } else {
+      f.remaining_mb = rng.uniform(0.0, 100.0);
+      f.done = rng.uniform() < 0.3;
+    }
+    f.allocated_mbps = rng.uniform(0.0, 100.0);  // last tick's; overwritten
+
+    // What the row fill does with a one-flow row on the general path.
+    std::vector<Flow> table{f};
+    if (f.kind == FlowKind::kBulk && f.done) {
+      table[0].allocated_mbps = 0.0;
+    } else {
+      FlowSlot active[] = {0};
+      Network::waterfill(table.data(), active, capacity);
+    }
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(Network::one_flow_share(f, capacity)),
+              std::bit_cast<std::uint64_t>(table[0].allocated_mbps))
+        << "capacity " << capacity << " demand " << f.demand_mbps << " bulk "
+        << (f.kind == FlowKind::kBulk) << " done " << f.done;
+  }
+}
+
+TEST(NetworkTest, RowsListFlowsByIdAfterSlotReuse) {
+  Network net = make_net(3, 1, 100.0, 10.0);
+  const FlowId a = net.add_stream_flow(SiteId(0), SiteId(1));
+  const FlowId b = net.add_stream_flow(SiteId(0), SiteId(2));
+  const FlowId c = net.add_stream_flow(SiteId(0), SiteId(1));
+  const FlowId d = net.add_bulk_flow(SiteId(0), SiteId(1), 50.0);
+  const FlowSlot slot_a = net.flow_slot(a);
+  const FlowSlot slot_b = net.flow_slot(b);
+  net.step(1.0, 1.0);
+  net.remove_flow(a);
+  net.remove_flow(b);
+  // The freed slots are reused (last freed first) by newer ids, so slot
+  // order now disagrees with id order.
+  const FlowId e = net.add_stream_flow(SiteId(0), SiteId(1));
+  const FlowId f = net.add_bulk_flow(SiteId(0), SiteId(1), 50.0);
+  EXPECT_EQ(net.flow_slot(e), slot_b);
+  EXPECT_EQ(net.flow_slot(f), slot_a);
+  EXPECT_EQ(net.num_flows(), 4u);
+  EXPECT_FALSE(net.has_flow(a));
+  EXPECT_FALSE(net.has_flow(b));
+
+  const std::span<const FlowSlot> row = net.link_flows(
+      net.link_id(SiteId(0), SiteId(1)));
+  std::vector<FlowId> ids;
+  for (const FlowSlot s : row) ids.push_back(net.flow_table()[s].id);
+  EXPECT_EQ(ids, (std::vector<FlowId>{c, d, e, f}));
+  EXPECT_EQ(net.link_id(SiteId(0), SiteId(2)), -1);  // b's row was freed
+
+  // The two bulk transfers split what the idle streams leave.
+  net.step(2.0, 1.0);
+  EXPECT_EQ(net.flow(d).allocated_mbps, 50.0);
+  EXPECT_EQ(net.flow(f).allocated_mbps, 50.0);
+}
+
+TEST(NetworkTest, FlowCountsStayRightUnderChurn) {
+  Rng rng(42);
+  Network net = make_net(4, 1, 50.0, 10.0);
+  std::vector<FlowId> live;
+  double t = 0.0;
+  for (int op = 0; op < 4000; ++op) {
+    const double u = rng.uniform();
+    const SiteId from(rng.uniform_int(0, 3));
+    const SiteId to(rng.uniform_int(0, 3));
+    if (u < 0.4) {
+      live.push_back(net.add_stream_flow(from, to));
+      net.set_stream_demand(live.back(), rng.uniform(0.0, 30.0));
+    } else if (u < 0.6) {
+      // Some sizes are 0: done on arrival.
+      live.push_back(net.add_bulk_flow(from, to, rng.uniform(-5.0, 40.0)));
+    } else if (u < 0.95) {
+      if (live.empty()) continue;
+      const auto k = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      const FlowId gone = live[k];
+      net.remove_flow(gone);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+      ASSERT_FALSE(net.has_flow(gone));
+      net.remove_flow(gone);  // a second remove is a no-op
+    } else {
+      net.step(t, 1.0);
+      t += 1.0;
+    }
+    std::size_t bulk = 0;
+    for (const FlowId id : live) {
+      ASSERT_TRUE(net.has_flow(id));
+      ASSERT_EQ(net.flow(id).id, id);
+      const Flow& f = net.flow(id);
+      bulk += f.kind == FlowKind::kBulk && !f.done ? 1 : 0;
+    }
+    ASSERT_EQ(net.num_flows(), live.size()) << "op " << op;
+    ASSERT_EQ(net.num_bulk_flows(), bulk) << "op " << op;
+  }
+}
+
 TEST(NetworkTest, RemoveFlowStopsAccounting) {
   Network net = make_net(2, 1, 80.0, 10.0);
   const FlowId f = net.add_stream_flow(SiteId(0), SiteId(1));
@@ -428,13 +544,18 @@ TEST_P(LinkTableFuzz, TwinsAgreeAndTableMatchesBruteForce) {
       if (link.refs == 0) continue;
       ASSERT_EQ(plain.link_id(link.from, link.to),
                 static_cast<std::int32_t>(id));
-      ASSERT_EQ(link.flows.size(),
-                (per_link[{link.from.value(), link.to.value()}]));
+      const std::span<const FlowSlot> row =
+          plain.link_flows(static_cast<std::int32_t>(id));
+      ASSERT_EQ(row.size(), (per_link[{link.from.value(), link.to.value()}]));
       EXPECT_EQ(link.capacity, plain.capacity(link.from, link.to, t));
       double sum = 0.0;
-      for (const Flow* f : link.flows) {
-        EXPECT_EQ(f->link, static_cast<std::int32_t>(id));
-        sum += f->allocated_mbps;
+      FlowId prev;
+      for (const FlowSlot s : row) {
+        const Flow& f = plain.flow_table()[s];
+        EXPECT_EQ(f.link, static_cast<std::int32_t>(id));
+        EXPECT_LT(prev, f.id);  // ascending id order
+        prev = f.id;
+        sum += f.allocated_mbps;
       }
       EXPECT_EQ(std::bit_cast<std::uint64_t>(link.allocated),
                 std::bit_cast<std::uint64_t>(sum));
