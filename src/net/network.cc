@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/units.h"
+#include "obs/profiler.h"
 #include "obs/trace.h"
 
 namespace wasp::net {
@@ -307,6 +308,8 @@ void Network::step(double t, double dt) {
 
   const bool tracing = trace_ != nullptr && trace_->enabled();
   if (tracing) {
+    const obs::Profiler::Scope profile_emit(profiler_,
+                                            obs::Phase::kWaterfillEmit);
     for (std::size_t r = 0; r < links_.size(); ++r) {
       double stream_mbps = 0.0, bulk_mbps = 0.0;
       std::size_t active = 0;

@@ -23,6 +23,7 @@
 #include "net/topology.h"
 
 namespace wasp::obs {
+class Profiler;
 class TraceEmitter;
 }  // namespace wasp::obs
 
@@ -175,6 +176,11 @@ class Network {
   // completes.
   void set_trace(obs::TraceEmitter* trace) { trace_ = trace; }
   [[nodiscard]] obs::TraceEmitter* trace() const { return trace_; }
+  // Optional profiler hook (non-owning; may be null): step() times its
+  // "link_alloc" emission as the "waterfill.emit" phase, nested in the
+  // caller's "waterfill", so that phase reports the fill alone.
+  void set_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
+  [[nodiscard]] obs::Profiler* profiler() const { return profiler_; }
 
   // Max-min fair share of `capacity` among the flows at slots `active` of
   // `flows`: one link's unfinished flows in id order, in scratch that the
@@ -251,6 +257,7 @@ class Network {
   double links_t_ = 0.0;      // time of the last fill
   std::int64_t next_flow_id_ = 0;
   obs::TraceEmitter* trace_ = nullptr;
+  obs::Profiler* profiler_ = nullptr;
 };
 
 }  // namespace wasp::net

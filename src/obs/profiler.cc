@@ -12,6 +12,7 @@ constexpr const char* kPhaseNames[static_cast<std::size_t>(Phase::kCount)] = {
     "step",
     "workload",
     "waterfill",
+    "waterfill.emit",
     "engine",
     "engine.reset",
     "engine.stage",

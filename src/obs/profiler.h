@@ -40,6 +40,7 @@ enum class Phase : int {
   kStep = 0,          // one whole system tick
   kWorkload,          // workload pattern + WAN monitor updates
   kWaterfill,         // net::Network::step max-min fair share
+  kWaterfillEmit,     //   its link_alloc trace emission
   kEngine,            // engine::Engine::tick, inclusive
   kEngineReset,       //   per-tick state reset + admission kernels
   kEngineStage,       //   topo-order stage processing pass

@@ -1,20 +1,38 @@
 #include "obs/trace.h"
 
-#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+
+#include "obs/json_writer.h"
 
 namespace wasp::obs {
 namespace {
 
-// JSON string escaping for keys and string values, per RFC 8259: quotes,
-// backslashes and control characters are escaped, and bytes that do not form
-// a valid UTF-8 sequence are replaced with U+FFFD so the emitted line is
-// always valid JSON even when a free-text field (abort_reason, recovery
-// detail, a fault-schedule string read from a file) carries garbage.
-void append_escaped(std::string& out, std::string_view text) {
+// Bytes a JSON string carries verbatim: ASCII from the space up, DEL
+// included, except the quote and the backslash.
+constexpr bool is_plain(unsigned char ch) {
+  return ch >= 0x20 && ch < 0x80 && ch != '"' && ch != '\\';
+}
+
+}  // namespace
+
+// Escaping per RFC 8259, so the emitted line is always valid JSON even when
+// a free-text field (abort_reason, recovery detail, a fault-schedule string
+// read from a file) carries garbage. Runs of plain bytes are copied in one
+// append; everything else takes the per-byte branch below.
+void append_json_string(std::string& out, std::string_view text) {
   out.push_back('"');
-  for (std::size_t i = 0; i < text.size();) {
+  std::size_t i = 0;
+  while (i < text.size()) {
+    std::size_t run = i;
+    while (run < text.size() &&
+           is_plain(static_cast<unsigned char>(text[run]))) {
+      ++run;
+    }
+    out.append(text.data() + i, run - i);
+    i = run;
+    if (i == text.size()) break;
     const unsigned char ch = static_cast<unsigned char>(text[i]);
     if (ch == '"') {
       out += "\\\"";
@@ -35,9 +53,6 @@ void append_escaped(std::string& out, std::string_view text) {
       char buf[8];
       std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(ch));
       out += buf;
-      ++i;
-    } else if (ch < 0x80) {
-      out.push_back(static_cast<char>(ch));
       ++i;
     } else {
       // Multi-byte UTF-8 lead byte: validate length, continuation bytes and
@@ -81,19 +96,28 @@ void append_escaped(std::string& out, std::string_view text) {
   out.push_back('"');
 }
 
-void append_number(std::string& out, double value) {
-  if (!std::isfinite(value)) {
+// An integral value below 1e12 in magnitude has at most 12 digits, which
+// %.12g prints in full with no exponent: exactly what to_chars prints for
+// the integer. -0.0 is the exception (%.12g prints "-0"), so it takes the
+// general path, where to_chars with chars_format::general and a precision
+// is defined as printf's %.*g in the "C" locale ([charconv.to.chars]).
+void append_json_number(std::string& out, double value) {
+  char buf[32];
+  char* end = nullptr;
+  if (std::fabs(value) < 1e12 &&
+      static_cast<double>(static_cast<long long>(value)) == value &&
+      !(value == 0.0 && std::signbit(value))) {
+    end = std::to_chars(buf, buf + sizeof(buf),
+                        static_cast<long long>(value)).ptr;
+  } else if (std::isfinite(value)) {
+    end = std::to_chars(buf, buf + sizeof(buf), value,
+                        std::chars_format::general, 12).ptr;
+  } else {
     out += "null";
     return;
   }
-  // Shortest round-trippable form is overkill here; %.12g keeps lines compact
-  // while preserving the precision the analyses care about.
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12g", value);
-  out += buf;
+  out.append(buf, end);
 }
-
-}  // namespace
 
 double TraceEvent::num(std::string_view key, double fallback) const {
   for (const auto& [k, v] : nums) {
@@ -114,24 +138,24 @@ std::string to_json_line(const TraceEvent& event) {
   std::string out;
   out.reserve(96 + 32 * (event.nums.size() + event.strs.size()));
   out += "{\"schema\":";
-  append_number(out, kTraceSchemaVersion);
+  append_json_number(out, kTraceSchemaVersion);
   out += ",\"seq\":";
-  append_number(out, static_cast<double>(event.seq));
+  append_json_number(out, static_cast<double>(event.seq));
   out += ",\"t\":";
-  append_number(out, event.t);
+  append_json_number(out, event.t);
   out += ",\"type\":";
-  append_escaped(out, event.type);
+  append_json_string(out, event.type);
   for (const auto& [key, value] : event.strs) {
     out.push_back(',');
-    append_escaped(out, key);
+    append_json_string(out, key);
     out.push_back(':');
-    append_escaped(out, value);
+    append_json_string(out, value);
   }
   for (const auto& [key, value] : event.nums) {
     out.push_back(',');
-    append_escaped(out, key);
+    append_json_string(out, key);
     out.push_back(':');
-    append_number(out, value);
+    append_json_number(out, value);
   }
   out.push_back('}');
   return out;
@@ -195,7 +219,8 @@ TraceEmitter::Event& TraceEmitter::Event::str(std::string_view key,
 std::uint64_t TraceEmitter::begin_span(std::string_view name,
                                        std::uint64_t parent) {
   std::uint64_t id = kNoSpan;
-  begin_span_event(name, &id, parent);
+  // No extra fields: the discarded builder commits the event right here.
+  static_cast<void>(begin_span_event(name, &id, parent));
   return id;
 }
 

@@ -141,6 +141,7 @@ WaspSystem::WaspSystem(net::Network& network, workload::QuerySpec spec,
   if (config_.trace_sink != nullptr) {
     trace_ = obs::TraceEmitter(config_.trace_sink);
     network_.set_trace(&trace_);
+    network_.set_profiler(&profiler_);
   }
   policy_->set_trace(&trace_);
   detector_.set_trace(&trace_);
@@ -204,8 +205,9 @@ WaspSystem::~WaspSystem() {
     detector_.close_open_spans(now_);
   }
   // The Network may be shared across systems (runtime::Cluster); only detach
-  // the trace hook if it still points at this system's emitter.
+  // the trace and profiler hooks if they still point at this system's.
   if (network_.trace() == &trace_) network_.set_trace(nullptr);
+  if (network_.profiler() == &profiler_) network_.set_profiler(nullptr);
 }
 
 void WaspSystem::deploy(workload::QuerySpec spec) {

@@ -456,7 +456,9 @@ TEST_P(NetworkFairnessProperty, AllocationIsFeasibleAndDemandBounded) {
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const double a = net.flow(ids[i]).allocated_mbps;
     EXPECT_GE(a, -1e-9);
-    if (demands[i] >= 0.0) EXPECT_LE(a, demands[i] + 1e-9);
+    if (demands[i] >= 0.0) {
+      EXPECT_LE(a, demands[i] + 1e-9);
+    }
     total += a;
   }
   EXPECT_LE(total, capacity + 1e-6);
@@ -464,7 +466,9 @@ TEST_P(NetworkFairnessProperty, AllocationIsFeasibleAndDemandBounded) {
   // present), the link is fully used.
   double total_demand = 0.0;
   for (double d : demands) total_demand += d >= 0.0 ? d : 1e18;
-  if (total_demand >= capacity) EXPECT_NEAR(total, capacity, 1e-6);
+  if (total_demand >= capacity) {
+    EXPECT_NEAR(total, capacity, 1e-6);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomFlowSets, NetworkFairnessProperty,

@@ -325,7 +325,15 @@ TEST(ProfilerTest, ProfiledRunRecordsTickPhases) {
     EXPECT_LE(engine.total_ns, step.total_ns + 1'000'000u);
     // Engine sub-phases nest under engine: self < total for the parent.
     EXPECT_LT(engine.self_ns, engine.total_ns);
+    // A traced run times its link_alloc emission inside the waterfill.
+    const auto& fill = accums[static_cast<std::size_t>(Phase::kWaterfill)];
+    const auto& emit =
+        accums[static_cast<std::size_t>(Phase::kWaterfillEmit)];
+    EXPECT_EQ(emit.calls, fill.calls);
+    EXPECT_GT(emit.total_ns, 0u);
+    EXPECT_EQ(fill.self_ns + emit.total_ns, fill.total_ns);
   }
+  EXPECT_EQ(bed.network.profiler(), nullptr);  // detached with the system
   config.trace_sink.reset();  // flush the sink before reading the file
   std::ifstream in(path);
   std::string line;

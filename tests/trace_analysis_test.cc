@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
+#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/trace.h"
@@ -330,6 +333,146 @@ TEST(ChromeExportTest, EmitsCompleteEventsForClosedSpans) {
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos) << json;
   // Sim seconds map to trace microseconds: 2.5 s duration -> 2500000 us.
   EXPECT_NE(json.find("2500000"), std::string::npos) << json;
+}
+
+// A strict JSON checker for the export test: RFC 8259 grammar over bytes
+// that must be valid UTF-8 as a whole (what a JSON reader such as Python's
+// json.load requires of a file).
+class JsonChecker {
+ public:
+  explicit JsonChecker(std::string_view text) : s_(text) {}
+
+  bool document() {
+    return utf8_valid() && value() && (ws(), i_ == s_.size());
+  }
+
+ private:
+  bool utf8_valid() const {
+    for (std::size_t k = 0; k < s_.size();) {
+      const auto b = static_cast<unsigned char>(s_[k]);
+      std::size_t len = b < 0x80 ? 1 : b >= 0xC2 && b < 0xE0 ? 2
+                        : b >= 0xE0 && b < 0xF0   ? 3
+                        : b >= 0xF0 && b < 0xF5   ? 4
+                                                  : 0;
+      if (len == 0 || k + len > s_.size()) return false;
+      for (std::size_t c = 1; c < len; ++c) {
+        if ((static_cast<unsigned char>(s_[k + c]) & 0xC0) != 0x80) {
+          return false;
+        }
+      }
+      k += len;
+    }
+    return true;
+  }
+  void ws() {
+    while (i_ < s_.size() && (s_[i_] == ' ' || s_[i_] == '\n' ||
+                              s_[i_] == '\r' || s_[i_] == '\t')) {
+      ++i_;
+    }
+  }
+  bool eat(char c) {
+    ws();
+    if (i_ < s_.size() && s_[i_] == c) {
+      ++i_;
+      return true;
+    }
+    return false;
+  }
+  bool string() {
+    if (!eat('"')) return false;
+    while (i_ < s_.size() && s_[i_] != '"') {
+      const auto b = static_cast<unsigned char>(s_[i_]);
+      if (b < 0x20) return false;
+      if (b == '\\') {
+        if (++i_ >= s_.size()) return false;
+        if (s_[i_] == 'u') {
+          for (int k = 0; k < 4; ++k) {
+            if (++i_ >= s_.size() || !std::isxdigit(
+                    static_cast<unsigned char>(s_[i_]))) {
+              return false;
+            }
+          }
+        } else if (std::string_view("\"\\/bfnrt").find(s_[i_]) ==
+                   std::string_view::npos) {
+          return false;
+        }
+      }
+      ++i_;
+    }
+    return eat('"');
+  }
+  // Digits, sign, point and exponent only (no nan/inf/hex), then strtod.
+  bool number() {
+    const std::size_t n = s_.find_first_not_of("0123456789+-.eE", i_);
+    const std::string token(s_.substr(i_, n - i_));
+    if (token.empty() || token[0] == '+') return false;
+    char* end = nullptr;
+    std::strtod(token.c_str(), &end);
+    if (end != token.c_str() + token.size()) return false;
+    i_ += token.size();
+    return true;
+  }
+  bool value() {
+    ws();
+    if (i_ >= s_.size()) return false;
+    const char c = s_[i_];
+    if (c == '{') {
+      ++i_;
+      if (eat('}')) return true;
+      do {
+        if (!string() || !eat(':') || !value()) return false;
+      } while (eat(','));
+      return eat('}');
+    }
+    if (c == '[') {
+      ++i_;
+      if (eat(']')) return true;
+      do {
+        if (!value()) return false;
+      } while (eat(','));
+      return eat(']');
+    }
+    if (c == '"') return string();
+    for (const std::string_view word : {"null", "true", "false"}) {
+      if (s_.substr(i_, word.size()) == word) {
+        i_ += word.size();
+        return true;
+      }
+    }
+    return number();
+  }
+
+  std::string_view s_;
+  std::size_t i_ = 0;
+};
+
+TEST(ChromeExportTest, InvalidUtf8SpanNameStillExportsValidJson) {
+  auto sink = std::make_shared<MemorySink>();
+  TraceEmitter emitter(sink);
+  emitter.set_now(1.0);
+  std::uint64_t closed = 0;
+  std::uint64_t open = 0;
+  { auto e = emitter.begin_span_event("bad\xff", &closed, kNoSpan); }
+  {
+    auto e = emitter.begin_span_event("open\xc3", &open, kNoSpan);
+    e.str("detail", "tail\xe2\x82");
+  }
+  emitter.event("note\xff").str("why", "\x80");
+  emitter.set_now(2.0);
+  { auto e = emitter.end_span(closed); }
+
+  std::vector<TraceEvent> events(sink->events().begin(),
+                                 sink->events().end());
+  std::stringstream out;
+  export_chrome_trace(events, out);
+  const std::string json = out.str();
+  EXPECT_TRUE(JsonChecker(json).document()) << json;
+  EXPECT_NE(json.find("\"name\":\"bad\xEF\xBF\xBD\""), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"name\":\"open\xEF\xBF\xBD (unclosed)\""),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find('\xff'), std::string::npos) << json;
 }
 
 }  // namespace
