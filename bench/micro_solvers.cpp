@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
-// substrates: the simplex LP solver, the branch & bound ILP (placement-sized
+// substrates: the simplex LP solver, the placement solve (placement-sized
 // instances), the min-max migration LP, and the engine tick.
 //
 // These are not paper figures; they document that the control-plane
@@ -16,7 +16,6 @@
 #include "common/rng.h"
 #include "engine/engine.h"
 #include "microengine/micro_engine.h"
-#include "ilp/branch_and_bound.h"
 #include "lp/simplex.h"
 #include "net/bandwidth_model.h"
 #include "net/network.h"
@@ -121,9 +120,9 @@ void BM_PlacementIlp(benchmark::State& state) {
 BENCHMARK(BM_PlacementIlp)->Arg(8)->Arg(16);
 
 void BM_PlacementIlpCold(benchmark::State& state) {
-  // Same ILP with a fresh epoch per iteration: every probe misses the cache,
-  // so this is the raw optimized solver stack (maintained-row simplex +
-  // copy-free B&B) plus the cache-key overhead.
+  // Same ILP with the cache defeated each iteration (two epoch rotations
+  // drop both generations): every probe misses, so this is the program
+  // build and direct solve plus the cache-key overhead.
   const std::size_t m = static_cast<std::size_t>(state.range(0));
   Rng rng(7);
   const RandomView view(m, rng);
@@ -131,26 +130,11 @@ void BM_PlacementIlpCold(benchmark::State& state) {
   physical::Scheduler scheduler;
   for (auto _ : state) {
     scheduler.begin_epoch();
+    scheduler.begin_epoch();
     benchmark::DoNotOptimize(scheduler.place_stage(ctx, view));
   }
 }
 BENCHMARK(BM_PlacementIlpCold)->Arg(8)->Arg(16);
-
-void BM_PlacementIlpReference(benchmark::State& state) {
-  // Same ILP through the pre-optimization stack: rescan pricing and
-  // copy-per-node branch & bound (the seed implementation, kept behind
-  // Scheduler::Config::use_reference_solvers).
-  const std::size_t m = static_cast<std::size_t>(state.range(0));
-  Rng rng(7);
-  const RandomView view(m, rng);
-  const physical::StageContext ctx = make_placement_ctx(m, rng);
-  physical::Scheduler scheduler(
-      physical::Scheduler::Config{.use_reference_solvers = true});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scheduler.place_stage(ctx, view));
-  }
-}
-BENCHMARK(BM_PlacementIlpReference)->Arg(8)->Arg(16);
 
 // ---------------------------------------------------------------------------
 // Planet-scale placement suite (DESIGN.md §14): how the solver stack scales
@@ -158,10 +142,9 @@ BENCHMARK(BM_PlacementIlpReference)->Arg(8)->Arg(16);
 // ---------------------------------------------------------------------------
 
 void BM_PlacementScale(benchmark::State& state) {
-  // Cold single-stage placement as the site count grows 16 -> 64 -> 256.
-  // Below 33 sites this is the legacy exact B&B; at or above it the folded
-  // ILP's exact greedy direct solve. The CI perf gate asserts the 16 -> 256
-  // growth stays sub-quadratic.
+  // Cold single-stage placement as the site count grows 16 -> 64 -> 256:
+  // the folded ILP's exact greedy direct solve at every scale. The CI perf
+  // gate asserts the 16 -> 256 growth stays sub-quadratic.
   const std::size_t m = static_cast<std::size_t>(state.range(0));
   Rng rng(7);
   const RandomView view(m, rng);
@@ -178,9 +161,9 @@ BENCHMARK(BM_PlacementScale)->Arg(16)->Arg(64)->Arg(256);
 // ---------------------------------------------------------------------------
 // Fig-scale decision-epoch suite: the §8.2 16-site testbed, all four
 // benchmark queries, each placed end-to-end at parallelism sweeps 1..3 with
-// scale-out fallback -- the work one adaptation epoch does. The fast variant
-// runs the optimized solvers plus the per-epoch placement cache (p-sweep and
-// per-candidate-plan dedup); the reference variant is the seed stack.
+// scale-out fallback -- the work one adaptation epoch does, through the
+// direct solve and the placement cache (p-sweep and per-candidate-plan
+// dedup).
 // ---------------------------------------------------------------------------
 
 class TopologyView final : public physical::NetworkView {
@@ -231,9 +214,11 @@ struct FigScaleSuite {
   // (b) per-operator scale-out candidates, each re-placing the plan with a
   // single operator's parallelism bumped. Candidates repeat every stage
   // probe outside the bumped operator's downstream cone, so the per-epoch
-  // placement cache dedups them; the reference stack re-solves each one.
+  // placement cache dedups them. Two rotations drop the previous epoch's
+  // memo too, so every iteration prices a cold epoch.
   double run_epoch(const physical::Scheduler& scheduler,
                    const physical::NetworkView& view) const {
+    scheduler.begin_epoch();
     scheduler.begin_epoch();
     double total = 0.0;
     for (const Case& c : cases) {
@@ -294,17 +279,6 @@ void BM_FigScaleEpoch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FigScaleEpoch);
-
-void BM_FigScaleEpochReference(benchmark::State& state) {
-  const FigScaleSuite suite;
-  const TopologyView view(suite.topo);
-  const physical::Scheduler scheduler(
-      physical::Scheduler::Config{.use_reference_solvers = true});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(suite.run_epoch(scheduler, view));
-  }
-}
-BENCHMARK(BM_FigScaleEpochReference);
 
 void BM_MigrationMinMaxLp(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

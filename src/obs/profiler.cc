@@ -7,7 +7,9 @@ namespace wasp::obs {
 namespace {
 
 // Names are dotted paths whose prefixes mirror the nesting ("engine.stage"
-// runs inside "engine"); `wasp_trace profile` sorts and indents by them.
+// runs inside "engine"). `wasp_trace profile` prints one flat table sorted
+// by self time; its --json lists phases in the order the trace first reports
+// them, which is this registry order for every phase that has run by then.
 constexpr const char* kPhaseNames[static_cast<std::size_t>(Phase::kCount)] = {
     "step",
     "workload",

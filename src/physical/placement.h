@@ -67,17 +67,8 @@ struct StagePlacement {
 // the scheduler; defined here so the placement cache can store it without
 // depending on the scheduler headers.
 struct PlacementOutcome {
-  // How the scheduler produced the placement (DESIGN.md §14):
-  //   kExact   -- branch & bound ran to completion (the only method at paper
-  //               scale; traces omit the field for it).
-  //   kDirect  -- the structured direct solve: the folded placement ILP is a
-  //               box-constrained single-equality program, solved exactly by
-  //               greedy fill (every placement at 33 sites and above).
-  enum class Method { kExact, kDirect };
-
   StagePlacement placement;
   double objective = 0.0;  // traffic-weighted delay (ms-weighted tasks)
-  Method method = Method::kExact;
 };
 
 // Sites to drain (S - S') and to populate (S' - S) when moving from

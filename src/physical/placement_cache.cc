@@ -42,14 +42,6 @@ void append_endpoint(std::string& out, const TrafficEndpoint& ep,
 
 }  // namespace
 
-std::string placement_cache_key(const StageContext& context,
-                                const NetworkView& view, double alpha,
-                                const std::vector<int>& extra_slots) {
-  std::string key;
-  placement_cache_key(key, context, view, alpha, extra_slots);
-  return key;
-}
-
 void placement_cache_key(std::string& key, const StageContext& context,
                          const NetworkView& view, double alpha,
                          const std::vector<int>& extra_slots) {
@@ -67,7 +59,7 @@ void placement_cache_key(std::string& key, const StageContext& context,
     append_int(key, slots);
     append_int(key, s < context.min_per_site.size() ? context.min_per_site[s]
                                                     : 0);
-    // -1 = uncapped (the default), matching solve_ilp's reading of
+    // -1 = uncapped (the default), matching build_placement_ilp's reading of
     // max_per_site; the sentinel keeps capped and uncapped contexts distinct.
     append_int(key, s < context.max_per_site.size() ? context.max_per_site[s]
                                                     : -1);
@@ -86,38 +78,20 @@ void placement_cache_key(std::string& key, const StageContext& context,
   for (SiteId ex : context.excluded_sites) append_int(key, ex.value());
 }
 
-const std::optional<PlacementOutcome>* PlacementCache::find(
-    const std::string& key) {
-  const auto it = map_.find(key);
-  if (it == map_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  ++stats_.hits;
-  return &it->second;
-}
-
-void PlacementCache::insert(std::string key,
-                            std::optional<PlacementOutcome> outcome) {
-  map_.emplace(std::move(key), std::move(outcome));
-}
-
-std::pair<std::optional<PlacementOutcome>*, bool> PlacementCache::find_or_reserve(
-    const std::string& key, bool allow_prev) {
+std::pair<std::optional<PlacementOutcome>*, bool>
+PlacementCache::find_or_reserve(const std::string& key) {
   const auto [it, inserted] = map_.try_emplace(key);
   if (!inserted) {
     ++stats_.hits;
     return {&it->second, true};
   }
-  if (allow_prev) {
-    const auto prev_it = prev_.find(key);
-    if (prev_it != prev_.end()) {
-      // Promote the previous-generation entry so repeat lookups this epoch
-      // stay single-hash.
-      it->second = prev_it->second;
-      ++stats_.hits;
-      return {&it->second, true};
-    }
+  const auto prev_it = prev_.find(key);
+  if (prev_it != prev_.end()) {
+    // Promote the previous-generation entry so repeat lookups this epoch
+    // stay single-hash.
+    it->second = prev_it->second;
+    ++stats_.hits;
+    return {&it->second, true};
   }
   ++stats_.misses;
   return {&it->second, false};

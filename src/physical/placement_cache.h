@@ -10,9 +10,11 @@
 // return the bit-identical outcome the solver would have produced. Exact keys
 // (rather than quantized ones) trade a few extra misses for that guarantee.
 //
-// The cache is cleared at the start of each decision epoch
-// (`Scheduler::begin_epoch`); network measurements change between epochs, so
-// stale entries would only be dead weight.
+// The cache keeps two generations: `Scheduler::begin_epoch` makes the
+// current one the previous one and drops the older. A miss in the current
+// generation consults the previous one, so a steady-state re-plan whose
+// inputs did not change reuses last epoch's outcome; anything older would
+// only be dead weight, since network measurements drift between epochs.
 #pragma once
 
 #include <cstddef>
@@ -28,14 +30,9 @@ namespace wasp::physical {
 
 struct StageContext;
 
-// Exact byte key covering every input `solve_ilp` reads. Two calls with equal
-// keys are guaranteed to produce identical outcomes.
-[[nodiscard]] std::string placement_cache_key(
-    const StageContext& context, const NetworkView& view, double alpha,
-    const std::vector<int>& extra_slots);
-
-// Allocation-free variant for the hot path: rebuilds the key into `key`
-// (cleared first; capacity is reused across calls).
+// Exact byte key covering every input `build_placement_ilp` reads, rebuilt
+// into `key` (cleared first; capacity is reused across calls). Two calls with
+// equal keys are guaranteed to produce identical outcomes.
 void placement_cache_key(std::string& key, const StageContext& context,
                          const NetworkView& view, double alpha,
                          const std::vector<int>& extra_slots);
@@ -47,36 +44,23 @@ class PlacementCache {
     std::size_t misses = 0;
   };
 
-  // Returns the cached outcome for `key`, or nullptr on a miss. Infeasible
-  // results (nullopt outcomes) are cached too.
-  [[nodiscard]] const std::optional<PlacementOutcome>* find(
-      const std::string& key);
-
-  void insert(std::string key, std::optional<PlacementOutcome> outcome);
-
   // Single-hash find-or-insert: returns {slot, hit}. On a hit the slot holds
-  // the memoized outcome; on a miss a default (nullopt) slot was reserved and
-  // the caller must fill it with the solved outcome. When `allow_prev` is
-  // set, a current-generation miss also consults the previous generation
-  // (see begin_epoch); a hit there is promoted into the current generation.
-  // Exact-byte keys make previous-generation reuse safe: equal keys mean the
-  // solver would read identical bytes and produce the identical outcome.
+  // the memoized outcome (infeasible results, nullopt, are cached too); on a
+  // miss a default (nullopt) slot was reserved and the caller must fill it
+  // with the solved outcome. A current-generation miss also consults the
+  // previous generation (see begin_epoch); a hit there is promoted into the
+  // current generation. Exact-byte keys make that reuse safe: equal keys mean
+  // the solver would read identical bytes and produce the identical outcome.
   [[nodiscard]] std::pair<std::optional<PlacementOutcome>*, bool>
-  find_or_reserve(const std::string& key, bool allow_prev = false);
+  find_or_reserve(const std::string& key);
 
   // Epoch rotation: the current generation becomes the previous one (the old
-  // previous generation is dropped). Callers that never pass `allow_prev`
-  // observe exactly the semantics of the old clear() -- an empty cache.
+  // previous generation is dropped).
   void begin_epoch() {
     prev_ = std::move(map_);
     map_.clear();
   }
 
-  void clear() {
-    map_.clear();
-    prev_.clear();
-  }
-  [[nodiscard]] std::size_t size() const { return map_.size(); }
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:

@@ -16,9 +16,9 @@
 // rather than the whole λ̂_I, which is what balanced partitioning actually
 // puts on the link u -> s. With a single upstream site the two coincide.
 //
-// The ILP is solved exactly, standing in for Gurobi: below 33 sites by the
-// in-repo branch & bound (src/ilp), at or above it by a greedy direct solve
-// that is exact for the folded program's shape (DESIGN.md §14).
+// The ILP is solved exactly, standing in for Gurobi: the builder folds it
+// into a box plus one all-ones equality row, and a greedy direct solve is
+// exact for that shape at every site count (DESIGN.md §14.2).
 #pragma once
 
 #include <optional>
@@ -30,10 +30,6 @@
 #include "obs/trace.h"
 #include "physical/placement.h"
 #include "physical/placement_cache.h"
-
-namespace wasp::ilp {
-struct IlpResult;
-}  // namespace wasp::ilp
 
 namespace wasp::physical {
 
@@ -72,14 +68,29 @@ struct StageContext {
 
 // PlacementOutcome lives in physical/placement.h (shared with the cache).
 
+// The Eq. 1-5 program of one stage after folding: every bandwidth cap
+// (Eq. 2-3), slot limit and exclusion (Eq. 4) and decomposition pin is a
+// per-site bound, so what is left is
+//   min Σ cost[s]·x[s]  s.t.  Σ x[s] = parallelism,  lo[s] <= x[s] <= hi[s],
+// x integer -- a box plus one all-ones equality row (DESIGN.md §14.2).
+struct PlacementProgram {
+  std::vector<double> cost;  // traffic-weighted latency per task at site s
+  std::vector<int> lo;
+  std::vector<int> hi;
+  int parallelism = 1;
+};
+
+// Builds the program place_stage solves for `context`; nullopt when a floor
+// exceeds its site's bound. Exposed so tests can hand the very same program
+// to an independent solver.
+[[nodiscard]] std::optional<PlacementProgram> build_placement_ilp(
+    const StageContext& context, const NetworkView& view, double alpha,
+    const std::vector<int>& extra_slots);
+
 class Scheduler {
  public:
   struct Config {
     double alpha = 0.8;  // bandwidth utilization threshold (§4.1)
-    // Use the original (rescan-pricing simplex, copy-per-node B&B) solver
-    // stack and bypass the placement cache. Kept so tests can assert the
-    // optimized stack returns identical placements and objectives.
-    bool use_reference_solvers = false;
   };
 
   Scheduler() = default;
@@ -88,8 +99,8 @@ class Scheduler {
   [[nodiscard]] const Config& config() const { return config_; }
 
   // Observability: when set, every non-pinned place_stage call emits a
-  // "placement_ilp" span (cache hit/miss, B&B nodes, LP iterations, wall
-  // time) nested under the caller's ambient span. Null disables.
+  // "placement_ilp" span (cache hit/miss, feasibility, objective, wall time)
+  // nested under the caller's ambient span. Null disables.
   void set_trace(obs::TraceEmitter* trace) { trace_ = trace; }
 
   // Tick-phase profiler hook (DESIGN.md §13): place_stage runs under the
@@ -97,11 +108,9 @@ class Scheduler {
   void set_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
 
   // Starts a new decision epoch: rotates the placement memo cache (the
-  // current generation becomes the previous one). Within-epoch hits are
-  // guaranteed bit-identical to a fresh solve (exact-byte keying, see
-  // placement_cache.h); previous-generation hits -- consulted only for
-  // at-scale stages -- carry the same guarantee because the key covers every
-  // byte the solver reads.
+  // current generation becomes the previous one). Hits from either
+  // generation are bit-identical to a fresh solve: the exact-byte key covers
+  // every byte the solver reads (placement_cache.h).
   void begin_epoch() const { cache_.begin_epoch(); }
   [[nodiscard]] const PlacementCache::Stats& cache_stats() const {
     return cache_.stats();

@@ -1,6 +1,7 @@
-// Unit and property tests for the branch & bound ILP solver, including a
-// sweep that cross-checks random instances against exhaustive enumeration.
-#include "ilp/branch_and_bound.h"
+// Unit and property tests for the reference branch & bound ILP solver (the
+// test oracle in tests/oracles), including a sweep that cross-checks random
+// instances against exhaustive enumeration.
+#include "oracles/branch_and_bound.h"
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,7 @@
 #include "common/rng.h"
 #include "lp/problem.h"
 
-namespace wasp::ilp {
+namespace wasp::oracles {
 namespace {
 
 constexpr double kTol = 1e-6;
@@ -56,7 +57,7 @@ TEST(IlpTest, MixedIntegerKeepsContinuousVarsContinuous) {
   p.add_variable(1.0);
   p.add_variable(1.0);
   p.add_dense_constraint({1.0, 1.0}, lp::RowType::kGe, 2.5);
-  const IlpResult r = solve(p, std::vector<std::size_t>{0});
+  const IlpResult r = solve_ilp(p, std::vector<std::size_t>{0});
   ASSERT_TRUE(r.optimal());
   EXPECT_NEAR(r.objective, 2.5, kTol);
   EXPECT_NEAR(r.values[0], std::round(r.values[0]), kTol);
@@ -109,15 +110,11 @@ TEST(IlpTest, LpIterationLimitIsNotReportedAsInfeasible) {
   p.add_dense_constraint({3.0, 2.0}, lp::RowType::kLe, 18.0);
   ASSERT_TRUE(solve_all_integer(p).optimal()) << "baseline must be feasible";
 
-  for (const auto algorithm : {IlpOptions::Algorithm::kCopyFree,
-                               IlpOptions::Algorithm::kReference}) {
-    IlpOptions opts;
-    opts.algorithm = algorithm;
-    opts.lp_options.max_iterations = 1;
-    const IlpResult r = solve_all_integer(p, opts);
-    EXPECT_EQ(r.status, lp::SolveStatus::kIterationLimit);
-    EXPECT_GT(r.nodes_dropped_by_limit, 0u);
-  }
+  IlpOptions opts;
+  opts.lp_options.max_iterations = 1;
+  const IlpResult r = solve_all_integer(p, opts);
+  EXPECT_EQ(r.status, lp::SolveStatus::kIterationLimit);
+  EXPECT_GT(r.nodes_dropped_by_limit, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -155,13 +152,11 @@ TEST_P(IlpRandomProperty, MatchesExhaustiveEnumeration) {
 
   const IlpResult r = solve_all_integer(p);
 
-  // The copy-free search (with maintained-row pricing, bound propagation, and
-  // incumbent seeding) must return exactly what the reference copy-per-node
-  // DFS over rescan-priced relaxations returns.
-  IlpOptions ref_opts;
-  ref_opts.algorithm = IlpOptions::Algorithm::kReference;
-  ref_opts.lp_options.pricing = lp::SimplexOptions::Pricing::kRescan;
-  const IlpResult ref = solve_all_integer(p, ref_opts);
+  // Relaxations priced by the maintained reduced-cost row (the default) must
+  // lead the search to exactly what rescan-priced relaxations lead it to.
+  IlpOptions rescan_opts;
+  rescan_opts.lp_options.pricing = lp::SimplexOptions::Pricing::kRescan;
+  const IlpResult ref = solve_all_integer(p, rescan_opts);
   ASSERT_EQ(r.status, ref.status) << lp::to_string(r.status) << " vs "
                                   << lp::to_string(ref.status);
   if (r.optimal()) {
@@ -231,4 +226,4 @@ INSTANTIATE_TEST_SUITE_P(RandomIlps, IlpRandomProperty,
                          }()));
 
 }  // namespace
-}  // namespace wasp::ilp
+}  // namespace wasp::oracles

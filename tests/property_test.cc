@@ -22,11 +22,11 @@
 #include "common/rng.h"
 #include "engine/delay_tracker.h"
 #include "engine/engine.h"
-#include "ilp/branch_and_bound.h"
 #include "lp/simplex.h"
 #include "net/bandwidth_model.h"
 #include "net/network.h"
 #include "net/topology.h"
+#include "oracles/branch_and_bound.h"
 #include "physical/physical_plan.h"
 #include "query/logical_plan.h"
 #include "state/migration.h"
@@ -202,7 +202,7 @@ TEST_P(RelaxationBoundProperty, IntegerOptimumNeverBeatsRelaxation) {
     p.add_dense_constraint(coeffs, lp::RowType::kLe, rng.uniform(1.0, 8.0));
   }
   const lp::Solution relax = lp::solve(p);
-  const ilp::IlpResult integer = ilp::solve_all_integer(p);
+  const oracles::IlpResult integer = oracles::solve_all_integer(p);
   if (!relax.optimal() || !integer.optimal()) return;
   if (p.sense() == lp::Sense::kMinimize) {
     EXPECT_GE(integer.objective, relax.objective - 1e-6);

@@ -1,6 +1,6 @@
 // Tests for the planet-scale pipeline (DESIGN.md §14): the edge-hierarchy
-// topology generator and its spec grammar, the at-scale direct placement
-// solve, region-decomposed re-plans, and the bottleneck max-flow migration
+// topology generator and its spec grammar, the direct placement solve at
+// scale, region-decomposed re-plans, and the bottleneck max-flow migration
 // path.
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "common/units.h"
 #include "net/topology.h"
 #include "net/topology_spec.h"
+#include "oracles/placement_oracle.h"
 #include "physical/placement.h"
 #include "physical/scheduler.h"
 #include "state/migration.h"
@@ -220,11 +221,9 @@ TEST(ScaleSolverTest, DirectSolveMatchesReferenceAtScale) {
   Rng rng(5);
   const net::Topology topo = net::Topology::make_edge_hierarchy(params, rng);
   const TopologyView view(topo);
-  ASSERT_GE(topo.num_sites(), 33u);  // at-scale: the direct solve engages
+  ASSERT_GE(topo.num_sites(), 64u);  // four times the paper testbed
 
-  const physical::Scheduler fast;  // default config -> direct solve at scale
-  const physical::Scheduler reference(
-      physical::Scheduler::Config{.use_reference_solvers = true});
+  const physical::Scheduler scheduler;
 
   physical::StageContext ctx;
   ctx.parallelism = 6;
@@ -237,12 +236,14 @@ TEST(ScaleSolverTest, DirectSolveMatchesReferenceAtScale) {
   }
   ctx.downstream.push_back({SiteId(0), 2'000.0, 60.0});
 
-  const auto got = fast.place_stage(ctx, view);
-  const auto want = reference.place_stage(ctx, view);
+  // The uncached branch & bound oracle on the same program.
+  const auto got = scheduler.place_stage(ctx, view);
+  const auto want =
+      oracles::place_stage(ctx, view, scheduler.config().alpha);
   ASSERT_EQ(got.has_value(), want.has_value());
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->method, physical::PlacementOutcome::Method::kDirect);
-  EXPECT_EQ(got->objective, want->objective);
+  EXPECT_NEAR(got->objective, want->objective,
+              1e-9 * std::abs(want->objective));
   EXPECT_EQ(got->placement, want->placement);
 }
 
